@@ -1,0 +1,104 @@
+"""Golden outputs: seeded records, sweeps and verdict reports, byte for byte.
+
+Each case runs one `anonsim` command and compares the file it writes,
+its exit code and its summary line against the files under
+tests/golden/.  A change that alters any of these bytes changes the
+on-disk format; regenerate on purpose with
+`PYTHONPATH=src python tests/test_golden.py` and announce the change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from anonsim.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SUMMARIES = GOLDEN / "summaries.txt"
+
+CASES = {
+    # README run commands, plus the abort and disruption branches
+    "anon_send": "anon --n 5 --sender 2 --d 1 --seed 7",
+    "anon_parity": "anon --n 4 --flippers 0,2,3 --seed 1",
+    "anon_withhold": "anon --n 4 --sender 1 --d 0 --withhold 3 --seed 4",
+    "anon_disrupt": "anon --n 5 --sender 0 --d 1 --disruptors 2 --seed 3",
+    "ae": "ae --n 5 --sender 1 --receiver 3 --seed 11",
+    "ae_withhold": "ae --n 4 --sender 0 --receiver 2 --withhold 1 --seed 6",
+    "anonq": "anonq --n 4 --sender 0 --receiver 2 --alpha 0.6 --beta 0.8j --seed 5",
+    "collision": "collision --n 8 --wishers 1,2,3 --seed 2",
+    "dcnet_trace": "dcnet --graph complete:4 --sender 2 --d 1 --trace --seed 9",
+    "dcnet_cycle": "dcnet --graph cycle:5 --sender 0 --d 0 --seed 3",
+    "keygraph": "keygraph --graph cycle:6 --colluders 0,3 --bound-t 1",
+    # sweeps
+    "sweep_collision": "sweep collision --n 2:8 --seed 0",
+    "sweep_anon": "sweep anon --n 3:5 --seed 0",
+    # exact verdicts, plain collusion and full hijack
+    "exact_anon_t2": "verdict --protocol anon --n 5 --t 2",
+    "exact_anon_traceless": "verdict --protocol anon --n 4 --traceless",
+    "exact_ae_receiver_t1": "verdict --protocol ae --n 5 --target receiver --t 1",
+    "exact_ae_traceless": "verdict --protocol ae --n 4 --traceless",
+    "exact_anonq_colluder": "verdict --protocol anonq --n 3 --colluders 1",
+    "exact_anonq_traceless": "verdict --protocol anonq --n 3 --traceless",
+    "exact_dcnet_complete_t1": "verdict --protocol dcnet --n 4 --graph complete:4 --t 1",
+    "exact_dcnet_star_center": "verdict --protocol dcnet --n 5 --graph star:5 --colluders 0",
+    "exact_dcnet_traceless": "verdict --protocol dcnet --n 4 --graph complete:4 --traceless",
+    "exact_dcnet_cycle_traceless_d0":
+        "verdict --protocol dcnet --n 5 --graph cycle:5 --traceless --d 0",
+    # seeded sampled verdicts
+    "sampled_anon_traceless":
+        "verdict --protocol anon --n 4 --traceless --mode sampled --trials 300 --seed 3",
+    "sampled_ae_receiver":
+        "verdict --protocol ae --n 3 --target receiver --t 1 --mode sampled "
+        "--trials 300 --seed 4",
+    "sampled_anonq_traceless":
+        "verdict --protocol anonq --n 3 --traceless --mode sampled --trials 200 --seed 5",
+    "sampled_dcnet_star":
+        "verdict --protocol dcnet --n 4 --graph star:4 --colluders 0 --mode sampled "
+        "--trials 300 --seed 6",
+    "sampled_dcnet_traceless":
+        "verdict --protocol dcnet --n 4 --graph complete:4 --traceless --mode sampled "
+        "--trials 300 --seed 7",
+}
+
+
+def _suffix(name: str) -> str:
+    return ".csv" if name.startswith("sweep_") else ".json"
+
+
+def _run_case(name: str, outdir: Path) -> tuple[bytes, str]:
+    """Output file bytes and '<exit code> <summary line>' of one case."""
+    out = outdir / f"{name}{_suffix(name)}"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*CASES[name].split(), "--out", str(out)])
+    summary = stdout.getvalue().splitlines()[0]
+    return out.read_bytes(), f"{code} {summary}"
+
+
+def _summaries() -> dict[str, str]:
+    lines = SUMMARIES.read_text(encoding="utf-8").splitlines()
+    return dict(line.split("\t", 1) for line in lines)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    data, summary = _run_case(name, tmp_path)
+    assert data == (GOLDEN / f"{name}{_suffix(name)}").read_bytes()
+    assert summary == _summaries()[name]
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    lines = []
+    for name in sorted(CASES):
+        _, summary = _run_case(name, GOLDEN)
+        lines.append(f"{name}\t{summary}\n")
+    SUMMARIES.write_text("".join(lines), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()
