@@ -8,34 +8,44 @@ posterior over candidate players, given that view, stays at the uniform
 baseline 1/(n - t).
 
 The classical comparison point is a pairwise-key XOR network (dining
-cryptographers).  There the announcements are deterministic functions of
-the keys, so a full-randomness adversary replays every player's expected
-announcement both as a non-sender and as a sender and identifies the
-sender of a 1 exactly.  The GHZ protocols do not have that failure mode:
-their transcript distributions are identical for every candidate.
+cryptographers, `protocols.dcnet_send`).  There the announcements are
+deterministic functions of the keys, so a full-randomness adversary
+replays every player's expected announcement both as a non-sender and
+as a sender and identifies the sender of a 1 exactly.  The GHZ
+protocols do not have that failure mode: their transcript distributions
+are identical for every candidate.
 
-Exact mode enumerates distributions with rational arithmetic; sampled
-mode estimates them from repeated runs and compares candidates by total
-variation distance.
+Every protocol the verdicts judge is registered in PROTOCOLS with its
+run function and its exact outcome enumeration.  Exact mode enumerates
+view distributions with rational arithmetic; sampled mode estimates
+them from repeated runs and compares candidates by total variation
+distance.  Both build views through the same redaction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from itertools import combinations, product
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, is_connected
 from .protocols import (
-    BroadcastEntry,
     RandomnessLedger,
+    Run,
     Transcript,
+    _validate_bit,
+    _validate_players,
     ae_establish,
     anon_send,
     anonq_send,
+    dcnet_send,
+    xor_pass,
 )
+from .qsim import apply_phase_flip, make_ghz
 from .rng import RngStream
 
 ENUM_PLAYER_LIMIT = 12
@@ -78,6 +88,23 @@ class AdversaryView:
         }
 
 
+def _redact(
+    rounds: Iterable[Iterable[tuple[int, str]]],
+    draws: Callable[[int], Iterable[int]],
+    watchers: Sequence[int],
+) -> tuple:
+    """The one place a view is built: (messages, randomness) of one run.
+
+    `rounds` holds the broadcast rounds as (player, bits) pairs and
+    `draws(p)` the values player p drew.  Every message is kept; draws
+    are kept for the watched players only, without their names.
+    """
+    return (
+        tuple(map(tuple, rounds)),
+        tuple([(p, tuple(draws(p))) for p in watchers]),
+    )
+
+
 def adversary_view(
     transcript: Transcript,
     ledger: RandomnessLedger,
@@ -88,95 +115,14 @@ def adversary_view(
     """Redact a run record down to what the adversary observes."""
     corrupted = tuple(sorted(set(corrupted)))
     n = transcript.n
-    for p in corrupted:
-        if not 0 <= p < n:
-            raise ValueError(f"corrupted player {p} out of range for n={n}")
+    _validate_players(n, "corrupted player", corrupted)
     if len(corrupted) > n - 2:
         raise ValueError(
             f"at most n-2={n - 2} corrupted players are modeled, got {len(corrupted)}"
         )
     watchers = tuple(range(n)) if hijacked_all else corrupted
-    messages = tuple(
-        tuple((e.player, e.bits) for e in rnd) for rnd in transcript.rounds
-    )
-    randomness = tuple((p, ledger.values(p)) for p in watchers)
+    messages, randomness = _redact(transcript.rounds, ledger.values, watchers)
     return AdversaryView(corrupted, hijacked_all, messages, randomness)
-
-
-@dataclass(frozen=True)
-class DcNetInstance:
-    """One configured round of the pairwise-key XOR network."""
-
-    graph: KeySharingGraph
-    keys: Mapping[tuple[int, int], int]
-    sender: int
-    d: int
-
-    def __post_init__(self) -> None:
-        g = self.graph
-        if not is_connected(g):
-            raise ValueError("key-sharing graph must be connected")
-        if set(self.keys) != set(g.edges):
-            raise ValueError("keys must cover exactly the graph's edges")
-        for e, bit in self.keys.items():
-            if bit not in (0, 1):
-                raise ValueError(f"key bit for edge {e} must be 0 or 1")
-        if not 0 <= self.sender < g.num_nodes:
-            raise ValueError(f"sender {self.sender} out of range")
-        if self.d not in (0, 1):
-            raise ValueError(f"data bit must be 0 or 1, got {self.d!r}")
-
-
-def _dcnet_announcements(
-    graph: KeySharingGraph,
-    keys: Mapping[tuple[int, int], int],
-    sender: int,
-    d: int,
-) -> tuple[int, ...]:
-    ann = []
-    for p in range(graph.num_nodes):
-        bit = 0
-        for e in graph.edges:
-            if p in e:
-                bit ^= keys[e]
-        if p == sender:
-            bit ^= d
-        ann.append(bit)
-    return tuple(ann)
-
-
-def dcnet_round(instance: DcNetInstance) -> tuple[tuple[int, ...], int]:
-    """Announce one bit per player; the XOR of all announcements is d.
-
-    Each announcement is the XOR of the player's incident key bits, plus
-    the data bit for the sender.  Every key enters exactly two
-    announcements, so the total parity reduces to d.
-    """
-    ann = _dcnet_announcements(instance.graph, instance.keys, instance.sender, instance.d)
-    decoded = 0
-    for bit in ann:
-        decoded ^= bit
-    return ann, decoded
-
-
-def dcnet_record(
-    instance: DcNetInstance,
-) -> tuple[tuple[int, ...], int, Transcript, RandomnessLedger]:
-    """Run one round and package it as a transcript plus ledger.
-
-    Each player's ledger holds their incident key bits in edge order;
-    the sender's data bit is not a ledger entry.
-    """
-    ann, decoded = dcnet_round(instance)
-    n = instance.graph.num_nodes
-    transcript = Transcript("dcnet", n)
-    transcript.add_round([BroadcastEntry(p, str(ann[p])) for p in range(n)])
-    ledger = RandomnessLedger()
-    for p in range(n):
-        for e in sorted(instance.graph.edges):
-            if p in e:
-                ledger.record(p, f"key:{e[0]}-{e[1]}", instance.keys[e])
-    return ann, decoded, transcript, ledger
 
 
 def trace_attack(
@@ -193,23 +139,47 @@ def trace_attack(
     sender replay is identified.  For d = 0 the two replays coincide and
     nobody is distinguishable.  Returns the identified player or None.
     """
-    if d not in (0, 1):
-        raise ValueError(f"data bit must be 0 or 1, got {d!r}")
+    _validate_bit(d)
     n = graph.num_nodes
     if len(announcements) != n:
         raise ValueError(f"expected {n} announcements, got {len(announcements)}")
-    matches = []
-    for p in range(n):
-        non_sender = 0
-        for e in graph.edges:
-            if p in e:
-                non_sender ^= keys[e]
-        as_sender = non_sender ^ d
-        if announcements[p] == as_sender and announcements[p] != non_sender:
-            matches.append(p)
+    edges = sorted(graph.edges)
+    non_sender, _ = xor_pass(n, edges, [keys[e] for e in edges])
+    matches = [
+        p
+        for p in range(n)
+        if announcements[p] == non_sender[p] ^ d and announcements[p] != non_sender[p]
+    ]
     if len(matches) == 1:
         return matches[0]
     return None
+
+
+def _anon_round(n, sender, receiver, d) -> dict[tuple[int, ...], Fraction]:
+    if sender is None or not 0 <= sender < n:
+        raise ValueError("anon distribution needs a sender in range")
+    _validate_bit(d)
+    state = make_ghz(n)
+    if d == 1:
+        state = apply_phase_flip(state, sender)
+    target_parity = 1 if state.is_phase_pi() else 0
+    prob = Fraction(1, 1 << (n - 1))
+    return {
+        bits: prob
+        for bits in product((0, 1), repeat=n)
+        if (sum(bits) & 1) == target_parity
+    }
+
+
+def _ae_round(n, sender, receiver, d) -> dict[tuple[int, ...], Fraction]:
+    if sender is None or receiver is None or sender == receiver:
+        raise ValueError("ae distribution needs distinct sender and receiver")
+    _validate_players(n, "player", (sender, receiver))
+    prob = Fraction(1, 1 << n)
+    return {bits: prob for bits in product((0, 1), repeat=n)}
+
+
+_ROUNDS = {"anon": _anon_round, "ae": _ae_round}
 
 
 def exact_transcript_distribution(
@@ -223,66 +193,141 @@ def exact_transcript_distribution(
     """Exact broadcast distribution of one run, keyed by per-player bits.
 
     For the anonymous bit broadcast the support is the outcome strings
-    whose parity equals d, each with probability 1/2^(n-1).  For the
-    entanglement protocol every per-player assignment of one bit is
-    equally likely (measurement outcomes, the sender's coin and the
-    receiver's decoy are all uniform and independent), probability
-    1/2^n.  Both are derived here through the protocol semantics, not
-    asserted; the sender index genuinely drops out of the result.
+    whose parity equals d, each with probability 1/2^(n-1).  The parity
+    is derived through the protocol semantics, by applying the sender's
+    flip to a GHZ state, so the sender index genuinely drops out.  For
+    the entanglement protocol the result is asserted, not derived: every
+    per-player assignment of one bit gets probability 1/2^n, because the
+    measurement outcomes, the sender's coin and the receiver's decoy are
+    all uniform and independent.
 
     Each player also holds exactly the bit they broadcast as their only
     recorded draw, so this map doubles as the joint distribution of
     (transcript, all randomness).
     """
+    if protocol not in _ROUNDS:
+        raise ValueError(f"unknown protocol for exact enumeration: {protocol!r}")
     if n > ENUM_PLAYER_LIMIT:
         raise ValueError(
             f"exact enumeration supports n <= {ENUM_PLAYER_LIMIT}; "
             "use sampled mode for larger groups"
         )
-    if protocol == "anon":
-        if sender is None or not 0 <= sender < n:
-            raise ValueError("anon distribution needs a sender in range")
-        if d not in (0, 1):
-            raise ValueError(f"data bit must be 0 or 1, got {d!r}")
-        from .qsim import apply_phase_flip, make_ghz
+    return _ROUNDS[protocol](n, sender, receiver, d)
 
-        state = make_ghz(n)
-        if d == 1:
-            state = apply_phase_flip(state, sender)
-        target_parity = 1 if state.is_phase_pi() else 0
-        prob = Fraction(1, 1 << (n - 1))
-        return {
-            bits: prob
-            for bits in product((0, 1), repeat=n)
-            if (sum(bits) & 1) == target_parity
-        }
-    if protocol == "ae":
-        if sender is None or receiver is None or sender == receiver:
-            raise ValueError("ae distribution needs distinct sender and receiver")
-        for who in (sender, receiver):
-            if not 0 <= who < n:
-                raise ValueError(f"player {who} out of range for n={n}")
-        measured = tuple(p for p in range(n) if p not in (sender, receiver))
-        prob = Fraction(1, 1 << n)
-        dist: dict[tuple[int, ...], Fraction] = {}
-        for outcome in product((0, 1), repeat=n - 2):
-            for b in (0, 1):
-                for b_prime in (0, 1):
-                    bits = [0] * n
-                    for q, v in zip(measured, outcome):
-                        bits[q] = v
-                    bits[sender] = b
-                    bits[receiver] = b_prime
-                    dist[tuple(bits)] = prob
-        return dist
-    raise ValueError(f"unknown protocol for exact enumeration: {protocol!r}")
+
+def _broadcast_outcomes(
+    n: int, round_dists: Sequence[Mapping[tuple[int, ...], Fraction]]
+) -> Iterator[tuple]:
+    """Outcomes of independent GHZ broadcast rounds, one map per round.
+
+    In these protocols a player's recorded draw in a round is the bit
+    they broadcast, so a player's draws are their column of the rounds.
+    """
+    table = [((p, "0"), (p, "1")) for p in range(n)]
+    rounds = [
+        [
+            (tuple(table[p][b] for p, b in enumerate(bits)), bits, prob)
+            for bits, prob in dist.items()
+        ]
+        for dist in round_dists
+    ]
+    for combo in product(*rounds):
+        messages, bits, probs = zip(*combo)
+        yield messages, tuple(zip(*bits)), reduce(mul, probs)
+
+
+class Roles(NamedTuple):
+    """Who does what in one verdict run; each protocol uses what it needs."""
+
+    n: int
+    sender: int
+    receiver: int
+    d: int
+    graph: Optional[KeySharingGraph]
+
+
+def _anon_outcomes(r: Roles) -> Iterator[tuple]:
+    return _broadcast_outcomes(
+        r.n, [exact_transcript_distribution("anon", r.n, sender=r.sender, d=r.d)]
+    )
+
+
+def _ae_outcomes(r: Roles) -> Iterator[tuple]:
+    dist = exact_transcript_distribution("ae", r.n, sender=r.sender, receiver=r.receiver)
+    return _broadcast_outcomes(r.n, [dist])
+
+
+def _anonq_outcomes(r: Roles) -> Iterator[tuple]:
+    n = r.n
+    if n > ANONQ_ENUM_PLAYER_LIMIT:
+        raise ValueError(
+            f"exact enumeration of the qubit protocol supports "
+            f"n <= {ANONQ_ENUM_PLAYER_LIMIT}; use sampled mode"
+        )
+    pair = exact_transcript_distribution("ae", n, sender=r.sender, receiver=r.receiver)
+    # The Bell outcomes m0 and m1 are independent uniform bits, each sent
+    # by one anonymous broadcast.
+    half = Fraction(1, 2)
+    announce = {
+        bits: half * prob
+        for m in (0, 1)
+        for bits, prob in exact_transcript_distribution(
+            "anon", n, sender=r.sender, d=m
+        ).items()
+    }
+    return _broadcast_outcomes(n, [pair, announce, announce])
+
+
+def _dcnet_outcomes(r: Roles) -> Iterator[tuple]:
+    n = r.n
+    edges = sorted(r.graph.edges)
+    if len(edges) > DCNET_EDGE_LIMIT:
+        raise ValueError(
+            f"exact enumeration supports at most {DCNET_EDGE_LIMIT} edges; "
+            "use sampled mode"
+        )
+    table = [((p, "0"), (p, "1")) for p in range(n)]
+    prob = Fraction(1, 1 << len(edges))
+    for key_bits in product((0, 1), repeat=len(edges)):
+        announced, incident = xor_pass(n, edges, key_bits)
+        announced[r.sender] ^= r.d
+        yield (tuple(table[p][b] for p, b in enumerate(announced)),), incident, prob
+
+
+class ProtocolSpec(NamedTuple):
+    """How the verdicts run one protocol and enumerate its outcomes.
+
+    `run(roles, rng)` returns a Run.  `outcomes(roles)` yields every
+    outcome of one run as (broadcast rounds of (player, bits) pairs, each
+    player's draws, probability).
+    """
+
+    run: Callable[[Roles, RngStream], Run]
+    outcomes: Callable[[Roles], Iterator[tuple]]
+
+
+PROTOCOLS: dict[str, ProtocolSpec] = {
+    "anon": ProtocolSpec(
+        lambda r, rng: anon_send(r.n, r.sender, r.d, rng), _anon_outcomes
+    ),
+    "ae": ProtocolSpec(
+        lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng), _ae_outcomes
+    ),
+    # the view of a qubit transfer does not depend on the qubit sent
+    "anonq": ProtocolSpec(
+        lambda r, rng: anonq_send(r.n, r.sender, r.receiver, (0.6, 0.8), rng),
+        _anonq_outcomes,
+    ),
+    "dcnet": ProtocolSpec(
+        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng), _dcnet_outcomes
+    ),
+}
 
 
 def tv_distance(p: Mapping, q: Mapping):
     """Total variation distance between two distributions given as maps."""
     keys = set(p) | set(q)
-    zero = Fraction(0)
-    total = sum(abs(p.get(k, zero) - q.get(k, zero)) for k in keys)
+    total = sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)
     return total / 2
 
 
@@ -311,185 +356,53 @@ class AnonymityVerdict:
     max_tv: Optional[float] = None
 
     def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "t": self.t,
-            "target": self.target,
-            "mode": self.mode,
-            "posterior_max": float(self.posterior_max),
-            "baseline": float(self.baseline),
-            "verdict": self.verdict,
-            "hijacked_all": self.hijacked_all,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_tv": None if self.max_tv is None else float(self.max_tv),
-        }
+        payload = asdict(self)
+        for name in ("posterior_max", "baseline", "max_tv"):
+            if payload[name] is not None:
+                payload[name] = float(payload[name])
+        return payload
 
 
 def _bayes_posterior_max(dists: Mapping[int, Mapping]) -> Fraction:
     """Max over views of the max posterior, uniform prior over candidates."""
-    views = set()
-    for dist in dists.values():
-        views.update(dist)
     best = Fraction(0)
-    zero = Fraction(0)
-    for view in views:
-        weights = [dist.get(view, zero) for dist in dists.values()]
-        total = sum(weights)
-        if total == 0:
-            continue
-        local = max(weights) / total
-        if local > best:
-            best = local
+    for view in set().union(*dists.values()):
+        weights = [dist.get(view, 0) for dist in dists.values()]
+        best = max(best, max(weights) / sum(weights))
     return best
 
 
-def _enum_view_key(
-    round_bits: tuple[tuple[int, ...], ...], watchers: Sequence[int]
-) -> tuple:
-    messages = tuple(
-        tuple((p, str(b)) for p, b in enumerate(rnd)) for rnd in round_bits
-    )
-    randomness = tuple(
-        (p, tuple(rnd[p] for rnd in round_bits)) for p in watchers
-    )
-    return (messages, randomness)
-
-
-def _partner_for(candidate: int, n: int) -> int:
-    return next(p for p in range(n) if p != candidate)
-
-
 def _exact_view_dists(
-    protocol: str,
-    n: int,
-    candidates: Sequence[int],
-    *,
-    target: str,
-    d: int,
-    watchers: Sequence[int],
+    spec: ProtocolSpec, cast: Mapping[int, Roles], watchers: Sequence[int]
 ) -> dict[int, dict]:
     dists: dict[int, dict] = {}
-    for cand in candidates:
-        if target == "sender":
-            sender, receiver = cand, _partner_for(cand, n)
-        else:
-            receiver, sender = cand, _partner_for(cand, n)
-        if protocol == "anon":
-            base = exact_transcript_distribution("anon", n, sender=sender, d=d)
-            dists[cand] = {
-                _enum_view_key((bits,), watchers): prob
-                for bits, prob in base.items()
-            }
-        elif protocol == "ae":
-            base = exact_transcript_distribution(
-                "ae", n, sender=sender, receiver=receiver
-            )
-            dists[cand] = {
-                _enum_view_key((bits,), watchers): prob
-                for bits, prob in base.items()
-            }
-        elif protocol == "anonq":
-            if n > ANONQ_ENUM_PLAYER_LIMIT:
-                raise ValueError(
-                    f"exact enumeration of the qubit protocol supports "
-                    f"n <= {ANONQ_ENUM_PLAYER_LIMIT}; use sampled mode"
-                )
-            ae_base = exact_transcript_distribution(
-                "ae", n, sender=sender, receiver=receiver
-            )
-            half = Fraction(1, 2)
-            anon_base = {
-                bit: exact_transcript_distribution("anon", n, sender=sender, d=bit)
-                for bit in (0, 1)
-            }
-            dist: dict = {}
-            for ae_bits, p_ae in ae_base.items():
-                for m0 in (0, 1):
-                    for bits0, p0 in anon_base[m0].items():
-                        for m1 in (0, 1):
-                            for bits1, p1 in anon_base[m1].items():
-                                key = _enum_view_key(
-                                    (ae_bits, bits0, bits1), watchers
-                                )
-                                prob = p_ae * half * p0 * half * p1
-                                dist[key] = dist.get(key, Fraction(0)) + prob
-            dists[cand] = dist
-        else:
-            raise ValueError(f"unknown protocol: {protocol!r}")
-    return dists
-
-
-def _exact_dcnet_dists(
-    graph: KeySharingGraph,
-    candidates: Sequence[int],
-    *,
-    d: int,
-    watchers: Sequence[int],
-) -> dict[int, dict]:
-    edges = sorted(graph.edges)
-    if len(edges) > DCNET_EDGE_LIMIT:
-        raise ValueError(
-            f"exact enumeration supports at most {DCNET_EDGE_LIMIT} edges; "
-            "use sampled mode"
-        )
-    n = graph.num_nodes
-    prob = Fraction(1, 1 << len(edges))
-    dists: dict[int, dict] = {}
-    for cand in candidates:
+    for cand, roles in cast.items():
         dist: dict = {}
-        for mask in range(1 << len(edges)):
-            keys = {e: (mask >> i) & 1 for i, e in enumerate(edges)}
-            ann = _dcnet_announcements(graph, keys, cand, d)
-            messages = (tuple((p, str(ann[p])) for p in range(n)),)
-            randomness = tuple(
-                (p, tuple(keys[e] for e in edges if p in e)) for p in watchers
-            )
-            key = (messages, randomness)
-            dist[key] = dist.get(key, Fraction(0)) + prob
+        for rounds, draws, prob in spec.outcomes(roles):
+            key = _redact(rounds, draws.__getitem__, watchers)
+            if key in dist:
+                dist[key] += prob
+            else:
+                dist[key] = prob
         dists[cand] = dist
     return dists
 
 
-def _sample_view(
-    protocol: str,
-    n: int,
-    cand: int,
-    *,
-    target: str,
-    d: int,
+def _sampled_view_dists(
+    spec: ProtocolSpec,
+    cast: Mapping[int, Roles],
     watchers: Sequence[int],
-    graph: Optional[KeySharingGraph],
+    trials: int,
     rng: RngStream,
-) -> tuple:
-    if target == "sender":
-        sender, receiver = cand, _partner_for(cand, n)
-    else:
-        receiver, sender = cand, _partner_for(cand, n)
-    if protocol == "anon":
-        _, transcript, ledger = anon_send(n, sender, d, rng)
-    elif protocol == "ae":
-        _, transcript, ledger = ae_establish(n, sender, receiver, rng)
-    elif protocol == "anonq":
-        _, transcript, ledger = anonq_send(n, sender, receiver, (0.6, 0.8), rng)
-    elif protocol == "dcnet":
-        assert graph is not None
-        edges = sorted(graph.edges)
-        keys = {e: rng.bit() for e in edges}
-        ann = _dcnet_announcements(graph, keys, cand, d)
-        messages = (tuple((p, str(ann[p])) for p in range(n)),)
-        randomness = tuple(
-            (p, tuple(keys[e] for e in edges if p in e)) for p in watchers
-        )
-        return (messages, randomness)
-    else:
-        raise ValueError(f"unknown protocol: {protocol!r}")
-    messages = tuple(
-        tuple((e.player, e.bits) for e in rnd) for rnd in transcript.rounds
-    )
-    randomness = tuple((p, ledger.values(p)) for p in watchers)
-    return (messages, randomness)
+) -> dict[int, dict]:
+    dists: dict[int, dict] = {}
+    for cand, roles in cast.items():
+        counter: Counter = Counter()
+        for _ in range(trials):
+            _, transcript, ledger = spec.run(roles, rng)
+            counter[_redact(transcript.rounds, ledger.values, watchers)] += 1
+        dists[cand] = {view: Fraction(c, trials) for view, c in counter.items()}
+    return dists
 
 
 def anonymity_verdict(
@@ -516,16 +429,17 @@ def anonymity_verdict(
     Exact mode enumerates views with rational arithmetic; the verdict is
     posterior_max == baseline (or within `tolerance` if one is given).
     Sampled mode estimates each candidate's view distribution from
-    `trials` runs and passes iff the largest pairwise total variation
-    distance is at most `tolerance` (default 0.05); it needs an
-    RngStream.
+    `trials` runs (at least one) and passes iff the largest pairwise
+    total variation distance is at most `tolerance` (default 0.05); it
+    needs an RngStream.
 
     `colluders` picks the corrupted set explicitly (default: the t
     highest-index players).  With `hijack_all_randomness` the adversary
     additionally reads every player's recorded draws, the strongest
     model this package checks.
     """
-    if protocol not in ("anon", "ae", "anonq", "dcnet"):
+    spec = PROTOCOLS.get(protocol)
+    if spec is None:
         raise ValueError(f"unknown protocol: {protocol!r}")
     if target not in ("sender", "receiver"):
         raise ValueError(f"target must be 'sender' or 'receiver', got {target!r}")
@@ -553,77 +467,41 @@ def anonymity_verdict(
         t = len(colluder_set)
     if t > n - 2:
         raise ValueError(f"at most n-2={n - 2} colluders are modeled, got t={t}")
-    for p in colluder_set:
-        if not 0 <= p < n:
-            raise ValueError(f"colluder {p} out of range for n={n}")
+    _validate_players(n, "colluder", colluder_set)
 
     candidates = tuple(sorted(set(range(n)) - colluder_set))
     watchers = tuple(range(n)) if hijack_all_randomness else tuple(sorted(colluder_set))
     baseline = Fraction(1, len(candidates))
+    cast = {}
+    for cand in candidates:
+        # the candidate takes the target role, the lowest other player the other one
+        partner = next(p for p in range(n) if p != cand)
+        pair = (cand, partner) if target == "sender" else (partner, cand)
+        cast[cand] = Roles(n, *pair, d, graph)
 
+    extra = {}
     if mode == "exact":
-        if protocol == "dcnet":
-            dists = _exact_dcnet_dists(graph, candidates, d=d, watchers=watchers)
-        else:
-            dists = _exact_view_dists(
-                protocol, n, candidates, target=target, d=d, watchers=watchers
-            )
+        dists = _exact_view_dists(spec, cast, watchers)
         posterior_max = _bayes_posterior_max(dists)
         if tolerance is None:
             verdict = posterior_max == baseline
         else:
             verdict = abs(float(posterior_max) - float(baseline)) <= tolerance
-        return AnonymityVerdict(
-            protocol, n, t, target, "exact", posterior_max, baseline, verdict,
-            hijacked_all=hijack_all_randomness,
-        )
-
-    if rng is None:
-        raise ValueError("sampled mode needs an RngStream")
-    tol = DEFAULT_TV_TOLERANCE if tolerance is None else tolerance
-    counts: dict[int, Counter] = {}
-    for cand in candidates:
-        counter: Counter = Counter()
-        for _ in range(trials):
-            counter[
-                _sample_view(
-                    protocol,
-                    n,
-                    cand,
-                    target=target,
-                    d=d,
-                    watchers=watchers,
-                    graph=graph,
-                    rng=rng,
-                )
-            ] += 1
-        counts[cand] = counter
-    dists = {
-        cand: {view: Fraction(c, trials) for view, c in counter.items()}
-        for cand, counter in counts.items()
-    }
-    max_tv = Fraction(0)
-    cand_list = list(candidates)
-    for i in range(len(cand_list)):
-        for j in range(i + 1, len(cand_list)):
-            dist = tv_distance(dists[cand_list[i]], dists[cand_list[j]])
-            if dist > max_tv:
-                max_tv = dist
-    posterior_max = _bayes_posterior_max(dists)
-    verdict = float(max_tv) <= tol
+    else:
+        if trials <= 0:
+            raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
+        if rng is None:
+            raise ValueError("sampled mode needs an RngStream")
+        dists = _sampled_view_dists(spec, cast, watchers, trials, rng)
+        pairs = combinations(candidates, 2)
+        max_tv = max(tv_distance(dists[a], dists[b]) for a, b in pairs)
+        posterior_max = float(_bayes_posterior_max(dists))
+        tol = DEFAULT_TV_TOLERANCE if tolerance is None else tolerance
+        verdict = float(max_tv) <= tol
+        extra = dict(trials=trials, seed=rng.seed, max_tv=float(max_tv))
     return AnonymityVerdict(
-        protocol,
-        n,
-        t,
-        target,
-        "sampled",
-        float(posterior_max),
-        baseline,
-        verdict,
-        hijacked_all=hijack_all_randomness,
-        trials=trials,
-        seed=rng.seed,
-        max_tv=float(max_tv),
+        protocol, n, t, target, mode, posterior_max, baseline, verdict,
+        hijacked_all=hijack_all_randomness, **extra,
     )
 
 

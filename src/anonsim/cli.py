@@ -56,15 +56,9 @@ def _parse_graph(spec: str) -> keygraph.KeySharingGraph:
     """'complete:5', 'cycle:6', 'star:5', 'path:4', or a file path."""
     if ":" in spec:
         kind, _, size = spec.partition(":")
-        makers = {
-            "complete": keygraph.KeySharingGraph.complete,
-            "cycle": keygraph.KeySharingGraph.cycle,
-            "star": keygraph.KeySharingGraph.star,
-            "path": keygraph.KeySharingGraph.path,
-        }
-        if kind in makers:
-            return makers[kind](int(size))
-        raise ValueError(f"unknown graph family {kind!r}")
+        if kind not in ("complete", "cycle", "star", "path"):
+            raise ValueError(f"unknown graph family {kind!r}")
+        return getattr(keygraph.KeySharingGraph, kind)(int(size))
     if not os.path.exists(spec):
         raise ValueError(f"graph file not found: {spec}")
     return keygraph.load_graph(spec)
@@ -81,10 +75,25 @@ def _summary(pairs: list[tuple[str, object]]) -> str:
     return " ".join(f"{k}={fmt(v)}" for k, v in pairs)
 
 
-def _emit(args, record: dict, default_name: str) -> str:
-    path = _out_path(args, default_name)
+def _record_run(
+    args,
+    protocol: str,
+    n: int,
+    run: protocols.Run,
+    verdicts: dict,
+    config: dict,
+    summary: list[tuple[str, object]],
+) -> int:
+    """Write one run record, print its summary; exit 3 if the run aborted."""
+    record = serialize.run_record(
+        protocol, n, args.seed, args.stream_id, run.transcript, run.ledger,
+        verdicts, config=config,
+    )
+    path = _out_path(args, f"{protocol}_n{n}_seed{args.seed}.json")
     serialize.write_json(path, record)
-    return path
+    print(_summary([("protocol", protocol), ("n", n), *summary]))
+    print(f"record: {path}")
+    return EXIT_ABORT if run.transcript.aborted else EXIT_OK
 
 
 def cmd_anon(args) -> int:
@@ -92,54 +101,38 @@ def cmd_anon(args) -> int:
     withholders = _parse_ids(args.withhold)
     if args.flippers is not None:
         flippers = _parse_ids(args.flippers)
-        parity, transcript, ledger = protocols.anon_multiparty_parity(
-            args.n, flippers, rng
+        run = protocols.anon_multiparty_parity(args.n, flippers, rng)
+        return _record_run(
+            args, "anon", args.n, run, {"parity": run.output},
+            {"flippers": flippers}, [("parity", run.output)],
         )
-        verdicts = {"parity": parity}
-        record = serialize.run_record(
-            "anon", args.n, args.seed, args.stream_id, transcript, ledger,
-            verdicts, config={"flippers": flippers},
-        )
-        path = _emit(args, record, f"anon_n{args.n}_seed{args.seed}.json")
-        print(_summary([("protocol", "anon"), ("n", args.n), ("parity", parity)]))
-        print(f"record: {path}")
-        return EXIT_OK
     if args.sender is None or args.d is None:
         raise ValueError("anon needs --sender and --d (or --flippers for parity mode)")
-    decoded, transcript, ledger = protocols.anon_send(
+    run = protocols.anon_send(
         args.n, args.sender, args.d, rng,
         withholders=withholders, disruptors=_parse_ids(args.disruptors),
     )
-    verdicts = {"decoded": decoded, "aborted": transcript.aborted}
-    record = serialize.run_record(
-        "anon", args.n, args.seed, args.stream_id, transcript, ledger, verdicts,
-        config={"sender": args.sender, "d": args.d, "withhold": withholders},
+    aborted = run.transcript.aborted
+    return _record_run(
+        args, "anon", args.n, run, {"decoded": run.output, "aborted": aborted},
+        {"sender": args.sender, "d": args.d, "withhold": withholders},
+        [("sender", args.sender), ("d", args.d), ("decoded", run.output),
+         ("aborted", aborted)],
     )
-    path = _emit(args, record, f"anon_n{args.n}_seed{args.seed}.json")
-    print(_summary([
-        ("protocol", "anon"), ("n", args.n), ("sender", args.sender),
-        ("d", args.d), ("decoded", decoded), ("aborted", transcript.aborted),
-    ]))
-    print(f"record: {path}")
-    return EXIT_ABORT if transcript.aborted else EXIT_OK
 
 
 def cmd_ae(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
-    pair, transcript, ledger = protocols.ae_establish(
+    run = protocols.ae_establish(
         args.n, args.sender, args.receiver, rng,
         withholders=_parse_ids(args.withhold),
     )
+    config = {"sender": args.sender, "receiver": args.receiver}
+    pair = run.output
     if pair is None:
-        verdicts = {"aborted": True}
-        record = serialize.run_record(
-            "ae", args.n, args.seed, args.stream_id, transcript, ledger, verdicts,
-            config={"sender": args.sender, "receiver": args.receiver},
+        return _record_run(
+            args, "ae", args.n, run, {"aborted": True}, config, [("aborted", True)]
         )
-        path = _emit(args, record, f"ae_n{args.n}_seed{args.seed}.json")
-        print(_summary([("protocol", "ae"), ("n", args.n), ("aborted", True)]))
-        print(f"record: {path}")
-        return EXIT_ABORT
     epr_fidelity = qsim.fidelity(pair.to_dense(), qsim.ghz_dense(2))
     verdicts = {
         "phase_numerator": pair.phase_numerator,
@@ -147,18 +140,11 @@ def cmd_ae(args) -> int:
         "fidelity_with_epr": epr_fidelity,
         "aborted": False,
     }
-    record = serialize.run_record(
-        "ae", args.n, args.seed, args.stream_id, transcript, ledger, verdicts,
-        config={"sender": args.sender, "receiver": args.receiver},
+    return _record_run(
+        args, "ae", args.n, run, verdicts, config,
+        [("phase_numerator", pair.phase_numerator),
+         ("fidelity", f"{epr_fidelity:.12f}")],
     )
-    path = _emit(args, record, f"ae_n{args.n}_seed{args.seed}.json")
-    print(_summary([
-        ("protocol", "ae"), ("n", args.n),
-        ("phase_numerator", pair.phase_numerator),
-        ("fidelity", f"{epr_fidelity:.12f}"),
-    ]))
-    print(f"record: {path}")
-    return EXIT_OK
 
 
 def cmd_anonq(args) -> int:
@@ -170,36 +156,20 @@ def cmd_anonq(args) -> int:
         raise ValueError("qubit amplitudes must not both be zero")
     scale = norm ** -0.5
     qubit = (alpha * scale, beta * scale)
-    received, transcript, ledger = protocols.anonq_send(
-        args.n, args.sender, args.receiver, qubit, rng
-    )
-    if received is None:
-        record = serialize.run_record(
-            "anonq", args.n, args.seed, args.stream_id, transcript, ledger,
-            {"aborted": True},
-            config={"sender": args.sender, "receiver": args.receiver},
+    run = protocols.anonq_send(args.n, args.sender, args.receiver, qubit, rng)
+    config = {"sender": args.sender, "receiver": args.receiver}
+    if run.output is None:
+        return _record_run(
+            args, "anonq", args.n, run, {"aborted": True}, config, [("aborted", True)]
         )
-        path = _emit(args, record, f"anonq_n{args.n}_seed{args.seed}.json")
-        print(_summary([("protocol", "anonq"), ("n", args.n), ("aborted", True)]))
-        print(f"record: {path}")
-        return EXIT_ABORT
     sent = np.array(qubit, dtype=complex)
-    transfer_fidelity = float(abs(np.vdot(sent, received)) ** 2)
-    verdicts = {"fidelity": transfer_fidelity, "aborted": False}
-    record = serialize.run_record(
-        "anonq", args.n, args.seed, args.stream_id, transcript, ledger, verdicts,
-        config={
-            "sender": args.sender, "receiver": args.receiver,
-            "alpha": args.alpha, "beta": args.beta,
-        },
+    transfer_fidelity = float(abs(np.vdot(sent, run.output)) ** 2)
+    return _record_run(
+        args, "anonq", args.n, run,
+        {"fidelity": transfer_fidelity, "aborted": False},
+        {**config, "alpha": args.alpha, "beta": args.beta},
+        [("fidelity", f"{transfer_fidelity:.12f}")],
     )
-    path = _emit(args, record, f"anonq_n{args.n}_seed{args.seed}.json")
-    print(_summary([
-        ("protocol", "anonq"), ("n", args.n),
-        ("fidelity", f"{transfer_fidelity:.12f}"),
-    ]))
-    print(f"record: {path}")
-    return EXIT_OK
 
 
 def cmd_collision(args) -> int:
@@ -208,45 +178,31 @@ def cmd_collision(args) -> int:
     verdict = protocols.collision_detect(args.n, wishers, rng)
     transcript = protocols.Transcript("collision", args.n)
     ledger = protocols.RandomnessLedger()
-    record = serialize.run_record(
-        "collision", args.n, args.seed, args.stream_id, transcript, ledger,
-        verdict.to_json(), config={"wishers": wishers},
+    run = protocols.Run(verdict, transcript, ledger)
+    return _record_run(
+        args, "collision", args.n, run, verdict.to_json(), {"wishers": wishers},
+        [("k", len(wishers)), ("verdict", verdict.verdict.value),
+         ("first_odd_round", verdict.first_odd_round),
+         ("rounds_used", verdict.rounds_used)],
     )
-    path = _emit(args, record, f"collision_n{args.n}_seed{args.seed}.json")
-    print(_summary([
-        ("protocol", "collision"), ("n", args.n), ("k", len(wishers)),
-        ("verdict", verdict.verdict.value),
-        ("first_odd_round", verdict.first_odd_round),
-        ("rounds_used", verdict.rounds_used),
-    ]))
-    print(f"record: {path}")
-    return EXIT_OK
 
 
 def cmd_dcnet(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
     graph = _parse_graph(args.graph)
     keys = {e: rng.bit() for e in sorted(graph.edges)}
-    instance = anonymity.DcNetInstance(graph, keys, args.sender, args.d)
-    announcements, decoded, transcript, ledger = anonymity.dcnet_record(instance)
+    run = protocols.dcnet_announce(graph, keys, args.sender, args.d)
+    summary = [("d", args.d), ("decoded", run.output)]
     traced = None
     if args.trace:
+        announcements = [int(e.bits) for e in run.transcript.rounds[0]]
         traced = anonymity.trace_attack(graph, keys, announcements, args.d)
-    verdicts = {"decoded": decoded, "traced": traced}
-    record = serialize.run_record(
-        "dcnet", graph.num_nodes, args.seed, args.stream_id, transcript, ledger,
-        verdicts, config={"graph": args.graph, "sender": args.sender, "d": args.d},
+        summary.append(("traced", traced))
+    return _record_run(
+        args, "dcnet", graph.num_nodes, run,
+        {"decoded": run.output, "traced": traced},
+        {"graph": args.graph, "sender": args.sender, "d": args.d}, summary,
     )
-    path = _emit(args, record, f"dcnet_n{graph.num_nodes}_seed{args.seed}.json")
-    pairs = [
-        ("protocol", "dcnet"), ("n", graph.num_nodes),
-        ("d", args.d), ("decoded", decoded),
-    ]
-    if args.trace:
-        pairs.append(("traced", traced))
-    print(_summary(pairs))
-    print(f"record: {path}")
-    return EXIT_OK
 
 
 def cmd_keygraph(args) -> int:
@@ -286,9 +242,7 @@ def cmd_keygraph(args) -> int:
 
 def cmd_verdict(args) -> int:
     graph = _parse_graph(args.graph) if args.graph else None
-    rng = None
-    if args.mode == "sampled":
-        rng = RngStream(args.seed, args.stream_id)
+    rng = RngStream(args.seed, args.stream_id) if args.mode == "sampled" else None
     kwargs = dict(
         target=args.target,
         t=args.t,
@@ -298,13 +252,11 @@ def cmd_verdict(args) -> int:
         tolerance=args.tolerance,
         rng=rng,
         graph=graph,
+        hijack_all_randomness=args.traceless,
     )
     if args.colluders is not None:
         kwargs["colluders"] = _parse_ids(args.colluders)
-    if args.traceless:
-        verdict = anonymity.traceless_verdict(args.protocol, args.n, **kwargs)
-    else:
-        verdict = anonymity.anonymity_verdict(args.protocol, args.n, **kwargs)
+    verdict = anonymity.anonymity_verdict(args.protocol, args.n, **kwargs)
     path = _out_path(
         args, f"verdict_{args.protocol}_n{args.n}_t{verdict.t}.json"
     )
@@ -404,13 +356,8 @@ def _sweep_graphs(args) -> tuple[list[str], list[list]]:
 
 
 def cmd_sweep(args) -> int:
-    if args.family == "collision":
-        header, rows = _sweep_collision(args)
-    elif args.family == "anon":
-        header, rows = _sweep_anon(args)
-    else:
-        header, rows = _sweep_graphs(args)
-
+    sweeps = {"collision": _sweep_collision, "anon": _sweep_anon, "graphs": _sweep_graphs}
+    header, rows = sweeps[args.family](args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -435,67 +382,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_seed=True):
+    def command(name, func, help, needs_seed=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if needs_seed:
             p.add_argument("--seed", type=int, required=True, help="64-bit run seed")
             p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
         p.add_argument("--out", help="output file (default: in $ANONSIM_OUTDIR)")
+        return p
 
-    p = sub.add_parser("anon", help="anonymous one-bit broadcast")
+    p = command("anon", cmd_anon, "anonymous one-bit broadcast")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sender", type=int)
     p.add_argument("--d", type=int, choices=(0, 1))
     p.add_argument("--flippers", help="parity mode: comma list of flipping players")
     p.add_argument("--withhold", help="players that refuse to broadcast")
     p.add_argument("--disruptors", help="players applying an extra phase flip")
-    add_common(p)
-    p.set_defaults(func=cmd_anon)
 
-    p = sub.add_parser("ae", help="anonymous entanglement")
+    p = command("ae", cmd_ae, "anonymous entanglement")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sender", type=int, required=True)
     p.add_argument("--receiver", type=int, required=True)
     p.add_argument("--withhold", help="players that refuse to broadcast")
-    add_common(p)
-    p.set_defaults(func=cmd_ae)
 
-    p = sub.add_parser("anonq", help="anonymous qubit transfer")
+    p = command("anonq", cmd_anonq, "anonymous qubit transfer")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sender", type=int, required=True)
     p.add_argument("--receiver", type=int, required=True)
     p.add_argument("--alpha", default="1", help="amplitude of |0>, complex literal")
     p.add_argument("--beta", default="0", help="amplitude of |1>, complex literal")
-    add_common(p)
-    p.set_defaults(func=cmd_anonq)
 
-    p = sub.add_parser("collision", help="exactly-one-sender detection")
+    p = command("collision", cmd_collision, "exactly-one-sender detection")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--wishers", help="comma list of wishing players")
-    add_common(p)
-    p.set_defaults(func=cmd_collision)
 
-    p = sub.add_parser("dcnet", help="pairwise-key XOR network round")
+    p = command("dcnet", cmd_dcnet, "pairwise-key XOR network round")
     p.add_argument("--graph", required=True,
                    help="complete:N | cycle:N | star:N | path:N | file path")
     p.add_argument("--sender", type=int, required=True)
     p.add_argument("--d", type=int, choices=(0, 1), required=True)
     p.add_argument("--trace", action="store_true",
                    help="run the full-randomness trace attack")
-    add_common(p)
-    p.set_defaults(func=cmd_dcnet)
 
-    p = sub.add_parser("keygraph", help="key-sharing graph audit")
+    p = command("keygraph", cmd_keygraph, "key-sharing graph audit", needs_seed=False)
     p.add_argument("--graph", required=True,
                    help="complete:N | cycle:N | star:N | path:N | file path")
     p.add_argument("--colluders", help="check whether this set partitions")
     p.add_argument("--bound-t", type=int, dest="bound_t",
                    help="also report key_lower_bound(n, t)")
-    add_common(p, needs_seed=False)
-    p.set_defaults(func=cmd_keygraph)
 
     p = sub.add_parser("verdict", help="anonymity measurement")
-    p.add_argument("--protocol", required=True,
-                   choices=("anon", "ae", "anonq", "dcnet"))
+    p.add_argument("--protocol", required=True, choices=tuple(anonymity.PROTOCOLS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", default="sender", choices=("sender", "receiver"))
     p.add_argument("--t", type=int, default=0)
@@ -524,12 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_amplitudes(argv: Sequence[str]) -> list[str]:
+    """'--beta -0.8j' -> '--beta=-0.8j'.
+
+    argparse reads a value that starts with '-' and is not a plain
+    negative number as an option, so a complex literal such as -0.8j
+    must be attached to its option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--alpha", "--beta"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_amplitudes(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-import networkx as nx
-
 ENUM_NODE_LIMIT = 12
 GRAPH_SEARCH_NODE_LIMIT = 6
 
@@ -148,6 +146,8 @@ def vertex_connectivity(g: KeySharingGraph) -> int:
 
     n-1 for the complete graph, 0 for a disconnected one.
     """
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.num_nodes))
     nxg.add_edges_from(g.edges)
@@ -220,6 +220,8 @@ def to_adjacency_json(g: KeySharingGraph) -> dict:
 
 
 def from_adjacency_json(obj: dict) -> KeySharingGraph:
+    if not isinstance(obj, dict) or not {"num_nodes", "adjacency"} <= obj.keys():
+        raise ValueError("adjacency JSON needs 'num_nodes' and 'adjacency'")
     n = int(obj["num_nodes"])
     edges = set()
     for v_str, neighbors in obj["adjacency"].items():

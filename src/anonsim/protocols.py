@@ -3,11 +3,12 @@
 Implements the classical-bit broadcast (anon_send), anonymous
 entanglement between a hidden sender and receiver (ae_establish), qubit
 transfer by teleportation over that entanglement (anonq_send), the
-rotation-based collision detection used to test for exactly one willing
-sender, and the scheduling and key-exchange constructions layered on
-top.
+classical pairwise-key XOR network they are compared against
+(dcnet_send), the rotation-based collision detection used to test for
+exactly one willing sender, and the scheduling and key-exchange
+constructions layered on top.
 
-Every run yields, besides its output value, a Transcript of what was
+Every run returns a Run: its output value, a Transcript of what was
 broadcast and a RandomnessLedger of the random values each player drew.
 Data items and role assignments are deliberately kept out of ledgers:
 they are the secrets whose leakage the analysis layer checks for.
@@ -16,11 +17,13 @@ they are the secrets whose leakage the analysis layer checks for.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .keygraph import KeySharingGraph, is_connected
 from .qsim import (
     DenseState,
     GhzPhaseState,
@@ -38,55 +41,7 @@ from .qsim import (
 from .rng import RngStream
 
 
-class Role(enum.Enum):
-    SENDER = "sender"
-    RECEIVER = "receiver"
-    NONE = "none"
-
-
-@dataclass(frozen=True)
-class PlayerConfig:
-    """Static per-player setup for one protocol run."""
-
-    id: int
-    role: Role = Role.NONE
-    data_item: object = None
-    honest: bool = True
-
-
-def make_player_configs(
-    n: int,
-    sender: Optional[int] = None,
-    receiver: Optional[int] = None,
-    data_item: object = None,
-    withholders: Iterable[int] = (),
-) -> list[PlayerConfig]:
-    """Role table for a run; validates the sender/receiver assignment."""
-    withheld = set(withholders)
-    if sender is not None and not 0 <= sender < n:
-        raise ValueError(f"sender {sender} out of range for n={n}")
-    if receiver is not None and not 0 <= receiver < n:
-        raise ValueError(f"receiver {receiver} out of range for n={n}")
-    if sender is not None and sender == receiver:
-        raise ValueError("sender and receiver must differ")
-    for w in withheld:
-        if not 0 <= w < n:
-            raise ValueError(f"withholding player {w} out of range for n={n}")
-    configs = []
-    for p in range(n):
-        role = Role.NONE
-        data = None
-        if p == sender:
-            role = Role.SENDER
-            data = data_item
-        elif p == receiver:
-            role = Role.RECEIVER
-        configs.append(PlayerConfig(p, role, data, honest=p not in withheld))
-    return configs
-
-
-@dataclass(frozen=True)
-class BroadcastEntry:
+class BroadcastEntry(NamedTuple):
     """One broadcast message: who sent it and its bits as 0/1 text."""
 
     player: int
@@ -135,20 +90,27 @@ class RandomnessLedger:
     and roles are never recorded here.
     """
 
-    def __init__(self) -> None:
-        self._entries: dict[int, list[tuple[str, int]]] = {}
+    def __init__(
+        self,
+        names: Optional[dict[int, list[str]]] = None,
+        values: Optional[dict[int, list[int]]] = None,
+    ) -> None:
+        """Start empty, or take over each player's draw names and int values."""
+        self._names = {} if names is None else names
+        self._values = {} if values is None else values
 
     def record(self, player: int, name: str, value: int) -> None:
-        self._entries.setdefault(player, []).append((name, int(value)))
+        self._names.setdefault(player, []).append(name)
+        self._values.setdefault(player, []).append(int(value))
 
     def entries(self, player: int) -> tuple[tuple[str, int], ...]:
-        return tuple(self._entries.get(player, ()))
+        return tuple(zip(self._names.get(player, ()), self._values.get(player, ())))
 
     def players(self) -> tuple[int, ...]:
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._values))
 
     def values(self, player: int) -> tuple[int, ...]:
-        return tuple(v for _, v in self._entries.get(player, ()))
+        return tuple(self._values.get(player, ()))
 
     def extend(self, other: "RandomnessLedger") -> None:
         for player in other.players():
@@ -162,6 +124,18 @@ class RandomnessLedger:
         }
 
 
+class Run(NamedTuple):
+    """What one protocol run yields: its output, broadcasts and draws.
+
+    `output` is the protocol's result (decoded bit, parity, EPR pair or
+    received qubit), None when the run aborted.
+    """
+
+    output: Any
+    transcript: Transcript
+    ledger: RandomnessLedger
+
+
 def _validate_group(n: int, minimum: int = 3) -> None:
     if n < minimum:
         raise ValueError(f"need at least {minimum} players, got {n}")
@@ -173,6 +147,53 @@ def _validate_bit(d: int) -> int:
     return d
 
 
+def _validate_players(n: int, label: str, players: Iterable[int]) -> set[int]:
+    """The players as a set, each checked to be in range(n)."""
+    found = set(players)
+    for p in found:
+        if not 0 <= p < n:
+            raise ValueError(f"{label} {p} out of range for n={n}")
+    return found
+
+
+def _broadcast_draws(
+    protocol: str, n: int, names: Sequence[str], bits: Sequence[int], withheld: set[int]
+) -> tuple[Transcript, RandomnessLedger]:
+    """One broadcast round in which each player's one draw is their message.
+
+    Player p records the draw bits[p] under names[p] and broadcasts it,
+    unless p withholds; any withholding marks the transcript aborted.
+    """
+    transcript = Transcript(protocol, n)
+    sent = [BroadcastEntry(p, str(bit)) for p, bit in enumerate(bits)]
+    transcript.add_round([entry for entry in sent if entry.player not in withheld])
+    transcript.aborted = bool(withheld)
+    ledger = RandomnessLedger(
+        {p: [name] for p, name in enumerate(names)},
+        {p: [bit] for p, bit in enumerate(bits)},
+    )
+    return transcript, ledger
+
+
+def _flip_and_broadcast(
+    n: int, flippers: Sequence[int], withheld: set[int], rng: RngStream
+) -> Run:
+    """One anonymous broadcast round over a fresh GHZ state.
+
+    Every player in `flippers` phase-flips their share, everyone applies
+    a Hadamard, measures and broadcasts the outcome bit.  The output is
+    the parity of the round, or None if anyone withheld.
+    """
+    state = make_ghz(n)
+    for p in flippers:
+        state = apply_phase_flip(state, p)
+    record = hadamard_measure_all(state, rng)
+    names = ["measurement"] * n
+    transcript, ledger = _broadcast_draws("anon", n, names, record.outcomes, withheld)
+    output = None if withheld else transcript.round_parity(0)
+    return Run(output, transcript, ledger)
+
+
 def anon_send(
     n: int,
     sender: int,
@@ -181,7 +202,7 @@ def anon_send(
     *,
     withholders: Iterable[int] = (),
     disruptors: Iterable[int] = (),
-) -> tuple[Optional[int], Transcript, RandomnessLedger]:
+) -> Run:
     """Anonymously broadcast one classical bit over a fresh GHZ state.
 
     The sender phase-flips their share iff d = 1, everyone applies a
@@ -196,61 +217,23 @@ def anon_send(
     """
     _validate_group(n)
     _validate_bit(d)
-    withheld = set(withholders)
-    make_player_configs(n, sender=sender, data_item=d, withholders=withheld)
-    flippers = set(disruptors)
-    for p in flippers:
-        if not 0 <= p < n:
-            raise ValueError(f"disruptor {p} out of range for n={n}")
-
-    state = make_ghz(n)
+    _validate_players(n, "sender", (sender,))
+    withheld = _validate_players(n, "withholding player", withholders)
+    flippers = sorted(_validate_players(n, "disruptor", disruptors))
     if d == 1:
-        state = apply_phase_flip(state, sender)
-    for p in sorted(flippers):
-        state = apply_phase_flip(state, p)
-
-    record = hadamard_measure_all(state, rng)
-    transcript = Transcript("anon", n)
-    ledger = RandomnessLedger()
-    entries = []
-    for p in range(n):
-        ledger.record(p, "measurement", record.outcomes[p])
-        if p not in withheld:
-            entries.append(BroadcastEntry(p, str(record.outcomes[p])))
-    transcript.add_round(entries)
-    if withheld:
-        transcript.aborted = True
-        return None, transcript, ledger
-    decoded = transcript.round_parity(0)
-    return decoded, transcript, ledger
+        flippers.insert(0, sender)
+    return _flip_and_broadcast(n, flippers, withheld, rng)
 
 
-def anon_multiparty_parity(
-    n: int, flippers: Iterable[int], rng: RngStream
-) -> tuple[int, Transcript, RandomnessLedger]:
+def anon_multiparty_parity(n: int, flippers: Iterable[int], rng: RngStream) -> Run:
     """Broadcast round in which every player in `flippers` phase-flips.
 
     Decodes to the parity of |flippers|: simultaneous senders collide
-    into a parity, they do not queue.  Returns (parity, transcript,
-    ledger).
+    into a parity, they do not queue.
     """
     _validate_group(n)
-    flip_set = set(flippers)
-    for p in flip_set:
-        if not 0 <= p < n:
-            raise ValueError(f"flipper {p} out of range for n={n}")
-    state = make_ghz(n)
-    for p in sorted(flip_set):
-        state = apply_phase_flip(state, p)
-    record = hadamard_measure_all(state, rng)
-    transcript = Transcript("anon", n)
-    ledger = RandomnessLedger()
-    entries = []
-    for p in range(n):
-        ledger.record(p, "measurement", record.outcomes[p])
-        entries.append(BroadcastEntry(p, str(record.outcomes[p])))
-    transcript.add_round(entries)
-    return transcript.round_parity(0), transcript, ledger
+    flip_set = _validate_players(n, "flipper", flippers)
+    return _flip_and_broadcast(n, sorted(flip_set), set(), rng)
 
 
 def ae_establish(
@@ -260,7 +243,7 @@ def ae_establish(
     rng: RngStream,
     *,
     withholders: Iterable[int] = (),
-) -> tuple[Optional[GhzPhaseState], Transcript, RandomnessLedger]:
+) -> Run:
     """Distill a shared EPR pair between sender and receiver.
 
     Everyone except the pair Hadamard-measures their share and
@@ -272,19 +255,18 @@ def ae_establish(
     exactly, so the residual pair is (|00> + |11>)/sqrt(2) with phase
     numerator exactly 0.
 
-    Returns (pair, transcript, ledger); pair is None on abort.
+    The output is the pair as a GhzPhaseState, None on abort.
     """
     _validate_group(n)
-    make_player_configs(n, sender=sender, receiver=receiver)
-    withheld = set(withholders)
-    for w in withheld:
-        if not 0 <= w < n:
-            raise ValueError(f"withholding player {w} out of range for n={n}")
+    _validate_players(n, "sender", (sender,))
+    _validate_players(n, "receiver", (receiver,))
+    if sender == receiver:
+        raise ValueError("sender and receiver must differ")
+    withheld = _validate_players(n, "withholding player", withholders)
 
     state = make_ghz(n)
     measured = tuple(p for p in range(n) if p not in (sender, receiver))
     record, residual = hadamard_measure_subset(state, measured, rng)
-    outcome_of = dict(zip(measured, record.outcomes))
     b = rng.bit()
     b_prime = rng.bit()
 
@@ -294,26 +276,12 @@ def ae_establish(
     if (b ^ record.parity) == 1:
         pair = apply_phase_flip(pair, 1)
 
-    transcript = Transcript("ae", n)
-    ledger = RandomnessLedger()
-    entries = []
-    for p in range(n):
-        if p == sender:
-            ledger.record(p, "coin", b)
-            bit = b
-        elif p == receiver:
-            ledger.record(p, "decoy", b_prime)
-            bit = b_prime
-        else:
-            ledger.record(p, "measurement", outcome_of[p])
-            bit = outcome_of[p]
-        if p not in withheld:
-            entries.append(BroadcastEntry(p, str(bit)))
-    transcript.add_round(entries)
-    if withheld:
-        transcript.aborted = True
-        return None, transcript, ledger
-    return pair, transcript, ledger
+    draws = {p: ("measurement", bit) for p, bit in zip(measured, record.outcomes)}
+    draws[sender] = ("coin", b)
+    draws[receiver] = ("decoy", b_prime)
+    names, bits = zip(*(draws[p] for p in range(n)))
+    transcript, ledger = _broadcast_draws("ae", n, names, bits, withheld)
+    return Run(None if withheld else pair, transcript, ledger)
 
 
 def anonq_send(
@@ -324,14 +292,13 @@ def anonq_send(
     rng: RngStream,
     *,
     withholders: Iterable[int] = (),
-) -> tuple[Optional[np.ndarray], Transcript, RandomnessLedger]:
+) -> Run:
     """Teleport an arbitrary qubit from a hidden sender to a hidden receiver.
 
     First establishes an anonymous EPR pair, then the sender Bell-measures
     the input qubit against their half and announces the two outcome bits
     with two anonymous broadcasts.  The receiver applies Z^m0 then X^m1.
-    Returns (received amplitudes, transcript, ledger); amplitudes are None
-    if any stage aborted.
+    The output is the received amplitudes, None if any stage aborted.
     """
     amps = np.asarray(qubit, dtype=complex).reshape(-1)
     if amps.size != 2:
@@ -344,7 +311,7 @@ def anonq_send(
     )
     transcript.protocol = "anonq"
     if pair is None:
-        return None, transcript, ledger
+        return Run(None, transcript, ledger)
 
     # Qubit 0: input.  Qubit 1: sender's pair half.  Qubit 2: receiver's.
     combined = tensor(DenseState(1, amps), pair.to_dense())
@@ -356,8 +323,6 @@ def anonq_send(
     transcript.extend(t1)
     ledger.extend(l0)
     ledger.extend(l1)
-    if decoded0 is None or decoded1 is None:
-        return None, transcript, ledger
 
     corrected = post
     if decoded0 == 1:
@@ -368,13 +333,90 @@ def anonq_send(
     received = np.array(
         [corrected.amplitudes[base], corrected.amplitudes[base | 4]], dtype=complex
     )
-    return received, transcript, ledger
+    return Run(received, transcript, ledger)
 
 
-def _ceil_log2(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    return (n - 1).bit_length()
+def xor_pass(
+    n: int, edges: Sequence[tuple[int, int]], key_bits: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """One pass over the edges of a pairwise-key XOR network.
+
+    `key_bits[i]` is the key shared across `edges[i]`.  Returns, for each
+    player, the XOR of their incident key bits (their announcement as a
+    non-sender) and the list of those key bits in edge order.
+    """
+    parity = [0] * n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for (i, j), k in zip(edges, key_bits):
+        parity[i] ^= k
+        parity[j] ^= k
+        incident[i].append(k)
+        incident[j].append(k)
+    return parity, incident
+
+
+@lru_cache(maxsize=128)
+def _xor_network(
+    graph: KeySharingGraph,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[str, ...], ...]]:
+    """Sorted edges of a connected key-sharing graph, and each player's
+    incident key names (`key:i-j`) in that order."""
+    if not is_connected(graph):
+        raise ValueError("key-sharing graph must be connected")
+    edges = tuple(sorted(graph.edges))
+    names: list[list[str]] = [[] for _ in range(graph.num_nodes)]
+    for i, j in edges:
+        name = f"key:{i}-{j}"
+        names[i].append(name)
+        names[j].append(name)
+    return edges, tuple(map(tuple, names))
+
+
+def _xor_round(
+    graph: KeySharingGraph, sender: int, d: int, key_bits: Sequence[int]
+) -> Run:
+    n = graph.num_nodes
+    _validate_players(n, "sender", (sender,))
+    _validate_bit(d)
+    edges, names = _xor_network(graph)
+    announced, incident = xor_pass(n, edges, key_bits)
+    announced[sender] ^= d
+    transcript = Transcript("dcnet", n)
+    transcript.add_round([BroadcastEntry(p, str(bit)) for p, bit in enumerate(announced)])
+    ledger = RandomnessLedger(
+        dict(enumerate(map(list, names))), dict(enumerate(incident))
+    )
+    return Run(sum(announced) & 1, transcript, ledger)
+
+
+def dcnet_send(graph: KeySharingGraph, sender: int, d: int, rng: RngStream) -> Run:
+    """One round of the pairwise-key XOR network (dining cryptographers).
+
+    Draws one key bit per edge, in sorted-edge order, then announces as
+    dcnet_announce does with those keys.
+    """
+    edges, _ = _xor_network(graph)
+    return _xor_round(graph, sender, d, [rng.bit() for _ in edges])
+
+
+def dcnet_announce(
+    graph: KeySharingGraph, keys: Mapping[tuple[int, int], int], sender: int, d: int
+) -> Run:
+    """Announce one bit per player under the given edge keys.
+
+    Each announcement is the XOR of the player's incident key bits, plus
+    the data bit for the sender.  Every key enters exactly two
+    announcements, so the output, the XOR of all announcements, is d.
+    Each player's ledger holds their incident key bits in sorted-edge
+    order, named `key:i-j`; the sender's data bit is not a ledger entry.
+    """
+    edges, _ = _xor_network(graph)
+    if set(keys) != graph.edges:
+        raise ValueError("keys must cover exactly the graph's edges")
+    for e, bit in keys.items():
+        if bit not in (0, 1):
+            raise ValueError(f"key bit for edge {e} must be 0 or 1")
+    return _xor_round(graph, sender, d, [int(keys[e]) for e in edges])
 
 
 def prepare_rotated_states(n: int) -> list[GhzPhaseState]:
@@ -386,7 +428,7 @@ def prepare_rotated_states(n: int) -> list[GhzPhaseState]:
     """
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    big_j = _ceil_log2(n)
+    big_j = (n - 1).bit_length()  # ceil(log2 n)
     states = []
     for j in range(big_j + 1):
         state = make_ghz(n).with_denom_exp(big_j)
@@ -452,10 +494,7 @@ def collision_detect(
     """
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    wish_set = set(wishers)
-    for w in wish_set:
-        if not 0 <= w < n:
-            raise ValueError(f"wisher {w} out of range for n={n}")
+    wish_set = _validate_players(n, "wisher", wishers)
 
     parities = []
     first_odd = None
@@ -504,10 +543,7 @@ def aloha_schedule(
     """
     if max_backoff < 1:
         raise ValueError(f"max_backoff must be >= 1, got {max_backoff}")
-    pending = set(wishers)
-    for w in pending:
-        if not 0 <= w < n:
-            raise ValueError(f"wisher {w} out of range for n={n}")
+    pending = _validate_players(n, "wisher", wishers)
     next_attempt = {w: 1 for w in pending}
     rounds: list[frozenset[int]] = []
     transmitted: dict[int, int] = {}
@@ -586,9 +622,7 @@ def anonymous_key_exchange(
     _validate_group(n)
     if node_i == node_j:
         raise ValueError("key exchange needs two distinct nodes")
-    for node in (node_i, node_j):
-        if not 0 <= node < n:
-            raise ValueError(f"node {node} out of range for n={n}")
+    _validate_players(n, "node", (node_i, node_j))
     if key_len < 0:
         raise ValueError(f"key_len must be nonnegative, got {key_len}")
     if bits_i is not None and len(bits_i) != key_len:

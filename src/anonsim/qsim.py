@@ -40,7 +40,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 # Basis index for a two-qubit gate is bit(targets[0]) + 2*bit(targets[1]),
 # so this matrix flips targets[0] when targets[1] is set.
 CNOT = np.array(
@@ -175,11 +174,7 @@ def apply_phase_flip(state: GhzPhaseState, player: int) -> GhzPhaseState:
     Which player acts does not change the resulting representation; the
     index is validated only.
     """
-    _check_player(state, player)
-    bump = 1 << state.phase_denom_exp
-    return GhzPhaseState(
-        state.num_qubits, state.phase_numerator + bump, state.phase_denom_exp
-    )
+    return apply_rz(state, player, 1, 0)
 
 
 def apply_rz(
@@ -350,9 +345,6 @@ class DenseState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def copy(self) -> "DenseState":
-        return DenseState(self.num_qubits, self.amplitudes)
-
 
 def ghz_dense(num_qubits: int, *, limit: int = DENSE_QUBIT_LIMIT) -> DenseState:
     """Dense GHZ state with phase 0."""
@@ -462,13 +454,6 @@ def dense_measure(
     new.num_qubits = n
     new.amplitudes = np.ascontiguousarray(collapsed.reshape(-1))
     return outcomes, new
-
-
-def dense_measure_all(
-    state: DenseState, rng: RngStream
-) -> tuple[MeasurementRecord, DenseState]:
-    outcomes, post = dense_measure(state, tuple(range(state.num_qubits)), rng)
-    return MeasurementRecord(outcomes), post
 
 
 def bell_measure(

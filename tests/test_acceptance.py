@@ -13,8 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from anonsim.anonymity import (
-    DcNetInstance,
-    dcnet_round,
     exact_transcript_distribution,
     trace_attack,
     traceless_verdict,
@@ -33,6 +31,7 @@ from anonsim.protocols import (
     anon_send,
     anonq_send,
     collision_detect,
+    dcnet_announce,
     decompose_k,
 )
 from anonsim.qsim import (
@@ -170,10 +169,10 @@ def test_07_xor_network_trace_attack():
             for mask in range(1 << len(edges)):
                 keys = {e: (mask >> i) & 1 for i, e in enumerate(edges)}
                 for sender in range(n):
-                    ann, _ = dcnet_round(DcNetInstance(graph, keys, sender, 1))
-                    assert trace_attack(graph, keys, ann, 1) == sender
-                    ann, _ = dcnet_round(DcNetInstance(graph, keys, sender, 0))
-                    assert trace_attack(graph, keys, ann, 0) is None
+                    for d, traced in ((1, sender), (0, None)):
+                        run = dcnet_announce(graph, keys, sender, d)
+                        ann = [int(e.bits) for e in run.transcript.rounds[0]]
+                        assert trace_attack(graph, keys, ann, d) == traced
 
 
 def test_08_key_graph_bounds():

@@ -10,24 +10,25 @@ import pytest
 
 from anonsim.anonymity import (
     AdversaryView,
-    DcNetInstance,
     adversary_view,
     anonymity_verdict,
-    dcnet_record,
-    dcnet_round,
     exact_transcript_distribution,
     tv_distance,
     trace_attack,
     traceless_verdict,
 )
 from anonsim.keygraph import KeySharingGraph
-from anonsim.protocols import anon_send
+from anonsim.protocols import anon_send, dcnet_announce, dcnet_send
 from anonsim.rng import RngStream
 
 
 def _keys_for(graph: KeySharingGraph, mask: int) -> dict:
     edges = sorted(graph.edges)
     return {e: (mask >> i) & 1 for i, e in enumerate(edges)}
+
+
+def _announcements(run) -> list[int]:
+    return [int(e.bits) for e in run.transcript.rounds[0]]
 
 
 # -------------------------------------------------------------------- dcnet
@@ -41,28 +42,22 @@ def test_dcnet_decodes_exhaustively():
             keys = _keys_for(graph, mask)
             for sender in range(n):
                 for d in (0, 1):
-                    ann, decoded = dcnet_round(
-                        DcNetInstance(graph, keys, sender, d)
-                    )
-                    assert decoded == d
-                    assert len(ann) == n
+                    run = dcnet_announce(graph, keys, sender, d)
+                    assert run.output == d
+                    assert len(_announcements(run)) == n
 
 
 def test_dcnet_cycle_graph_also_decodes():
     graph = KeySharingGraph.cycle(5)
     rng = RngStream(3)
     for _ in range(50):
-        keys = {e: rng.bit() for e in sorted(graph.edges)}
-        _, decoded = dcnet_round(DcNetInstance(graph, keys, 2, 1))
-        assert decoded == 1
+        assert dcnet_send(graph, 2, 1, rng).output == 1
 
 
 def test_dcnet_record_ledger_holds_incident_keys():
     graph = KeySharingGraph.complete(3)
     keys = {(0, 1): 1, (0, 2): 0, (1, 2): 1}
-    ann, decoded, transcript, ledger = dcnet_record(
-        DcNetInstance(graph, keys, 0, 1)
-    )
+    decoded, transcript, ledger = dcnet_announce(graph, keys, 0, 1)
     assert decoded == 1
     assert [e.player for e in transcript.rounds[0]] == [0, 1, 2]
     assert ledger.values(0) == (1, 0)  # keys (0,1) then (0,2)
@@ -76,16 +71,20 @@ def test_dcnet_instance_validation():
     graph = KeySharingGraph.complete(3)
     good = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
     with pytest.raises(ValueError):
-        DcNetInstance(graph, {(0, 1): 0}, 0, 1)
+        dcnet_announce(graph, {(0, 1): 0}, 0, 1)
     with pytest.raises(ValueError):
-        DcNetInstance(graph, {**good, (0, 1): 2}, 0, 1)
+        dcnet_announce(graph, {**good, (0, 1): 2}, 0, 1)
     with pytest.raises(ValueError):
-        DcNetInstance(graph, good, 5, 1)
+        dcnet_announce(graph, good, 5, 1)
     with pytest.raises(ValueError):
-        DcNetInstance(graph, good, 0, 2)
+        dcnet_announce(graph, good, 0, 2)
     disconnected = KeySharingGraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        DcNetInstance(disconnected, {(0, 1): 0, (2, 3): 0}, 0, 1)
+        dcnet_announce(disconnected, {(0, 1): 0, (2, 3): 0}, 0, 1)
+    rng = RngStream(0)
+    for bad in ((graph, 5, 1), (graph, 0, 2), (disconnected, 0, 1)):
+        with pytest.raises(ValueError):
+            dcnet_send(*bad, rng)
 
 
 def test_trace_attack_identifies_sender_of_one_exhaustively():
@@ -95,9 +94,9 @@ def test_trace_attack_identifies_sender_of_one_exhaustively():
         for mask in range(1 << len(edges)):
             keys = _keys_for(graph, mask)
             for sender in range(n):
-                ann, _ = dcnet_round(DcNetInstance(graph, keys, sender, 1))
+                ann = _announcements(dcnet_announce(graph, keys, sender, 1))
                 assert trace_attack(graph, keys, ann, 1) == sender
-                ann0, _ = dcnet_round(DcNetInstance(graph, keys, sender, 0))
+                ann0 = _announcements(dcnet_announce(graph, keys, sender, 0))
                 assert trace_attack(graph, keys, ann0, 0) is None
 
 
@@ -317,6 +316,15 @@ def test_sampled_dcnet_star_fails():
     )
     assert not v.verdict
     assert v.max_tv is not None and v.max_tv > 0.5
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampled_verdict_needs_positive_trials(trials):
+    graph = KeySharingGraph.star(4)
+    with pytest.raises(ValueError, match="trial"):
+        traceless_verdict(
+            "dcnet", 4, graph=graph, mode="sampled", trials=trials, rng=RngStream(0)
+        )
 
 
 def test_verdict_argument_errors():

@@ -125,6 +125,17 @@ def test_anonq_rejects_zero_amplitudes(capsys):
     assert "error:" in stderr
 
 
+def test_anonq_accepts_negative_amplitude_as_separate_value(tmp_path, capsys):
+    out = tmp_path / "anonq.json"
+    code, stdout, _ = _run(
+        capsys, "anonq", "--n", "4", "--sender", "0", "--receiver", "2",
+        "--alpha", "0.6", "--beta", "-0.8j", "--seed", "5", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert "fidelity=1.000000000000" in stdout
+    assert _load(out)["config"]["beta"] == "-0.8j"
+
+
 def test_collision_summary_and_record(tmp_path, capsys):
     out = tmp_path / "col.json"
     code, stdout, _ = _run(
@@ -185,6 +196,33 @@ def test_dcnet_unknown_graph_family(capsys):
 
 
 # ----------------------------------------------------------------- keygraph
+
+
+@pytest.mark.parametrize("missing", ["num_nodes", "adjacency"])
+def test_graph_json_missing_key_is_config_error(tmp_path, capsys, missing):
+    graph = {"num_nodes": 3, "adjacency": {"0": [1], "1": [0, 2], "2": [1]}}
+    del graph[missing]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    code, _, stderr = _run(
+        capsys, "keygraph", "--graph", str(path), "--out", str(tmp_path / "k.json"),
+    )
+    assert code == EXIT_CONFIG
+    assert stderr.startswith("error:")
+    assert len(stderr.splitlines()) == 1
+
+
+def test_out_under_a_regular_file_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, _, stderr = _run(
+        capsys, "anon", "--n", "4", "--sender", "0", "--d", "1", "--seed", "1",
+        "--out", str(blocker / "x.json"),
+    )
+    assert code == EXIT_CONFIG
+    assert stderr.startswith("error:")
+    assert len(stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_keygraph_audit(tmp_path, capsys):
@@ -260,6 +298,19 @@ def test_verdict_sampled_mode(tmp_path, capsys):
     assert report["mode"] == "sampled"
     assert report["trials"] == 2000
     assert report["max_tv"] is not None
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verdict_sampled_without_trials_is_config_error(tmp_path, capsys, trials):
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", "dcnet", "--n", "4", "--graph", "star:4",
+        "--traceless", "--mode", "sampled", "--trials", trials, "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    assert "PASS" not in stdout
+    assert stderr.startswith("error:")
+    assert not out.exists()
 
 
 def test_verdict_colluders_flag(tmp_path, capsys):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -243,3 +246,12 @@ def test_load_graph_dispatches_on_extension(tmp_path):
     text_path = tmp_path / "g.edges"
     text_path.write_text(to_edge_list_text(g), encoding="utf-8")
     assert load_graph(str(text_path)) == g
+
+
+def test_import_leaves_networkx_unloaded():
+    import anonsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, anonsim; sys.exit(int('networkx' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -10,7 +10,6 @@ import pytest
 
 from anonsim.protocols import (
     CollisionOutcome,
-    Role,
     aloha_schedule,
     ae_establish,
     anon_multiparty_parity,
@@ -20,7 +19,6 @@ from anonsim.protocols import (
     collision_detect,
     decompose_k,
     elect_sender_receiver,
-    make_player_configs,
     prepare_rotated_states,
 )
 from anonsim.qsim import (
@@ -37,23 +35,18 @@ from anonsim.rng import RngStream
 # ------------------------------------------------------------- player setup
 
 
-def test_make_player_configs_roles():
-    cfgs = make_player_configs(4, sender=1, receiver=3)
-    assert [c.role for c in cfgs] == [
-        Role.NONE,
-        Role.SENDER,
-        Role.NONE,
-        Role.RECEIVER,
-    ]
-    assert [c.id for c in cfgs] == [0, 1, 2, 3]
-    assert all(c.honest for c in cfgs)
-
-
-def test_make_player_configs_rejects_bad_ids():
-    with pytest.raises(ValueError):
-        make_player_configs(3, sender=3)
-    with pytest.raises(ValueError):
-        make_player_configs(3, sender=1, receiver=1)
+def test_runs_reject_bad_role_ids():
+    rng = RngStream(0)
+    with pytest.raises(ValueError, match="sender 3 out of range"):
+        anon_send(3, 3, 1, rng)
+    with pytest.raises(ValueError, match="sender 3 out of range"):
+        ae_establish(3, 3, 1, rng)
+    with pytest.raises(ValueError, match="receiver 3 out of range"):
+        ae_establish(3, 1, 3, rng)
+    with pytest.raises(ValueError, match="must differ"):
+        ae_establish(3, 1, 1, rng)
+    with pytest.raises(ValueError, match="withholding player 4 out of range"):
+        anon_send(3, 0, 1, rng, withholders=(4,))
 
 
 # ---------------------------------------------------------------------- anon
