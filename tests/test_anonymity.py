@@ -9,7 +9,10 @@ from fractions import Fraction
 import pytest
 
 from anonsim.anonymity import (
+    PROTOCOLS,
     AdversaryView,
+    Roles,
+    _redact,
     adversary_view,
     anonymity_verdict,
     exact_transcript_distribution,
@@ -359,6 +362,28 @@ def test_verdict_json_round_trips_through_floats():
     assert payload["verdict"] is True
     assert payload["max_tv"] is None
     json.dumps(payload)  # must be serializable as-is
+
+
+@pytest.mark.parametrize(
+    "protocol, n, graph",
+    [("anon", 4, None), ("ae", 4, None), ("anonq", 3, None),
+     ("dcnet", 4, KeySharingGraph.cycle(4))],
+)
+def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
+    # exact outcomes and real runs are redacted by the same function
+    spec = PROTOCOLS[protocol]
+    roles = Roles(n, 1, 2, 1, graph)
+    everyone = tuple(range(n))
+    exact = {
+        _redact(rounds, draws.__getitem__, everyone): prob
+        for rounds, draws, prob in spec.outcomes(roles)
+    }
+    assert sum(exact.values()) == 1
+    rng = RngStream(5)
+    for _ in range(40):
+        _, transcript, ledger = spec.run(roles, rng)
+        view = adversary_view(transcript, ledger, (), hijacked_all=True)
+        assert view.key() in exact
 
 
 def test_adversary_view_dataclass_is_frozen():
