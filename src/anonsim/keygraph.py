@@ -219,15 +219,33 @@ def to_adjacency_json(g: KeySharingGraph) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_adjacency_json(obj: dict) -> KeySharingGraph:
+    """Graph from {"num_nodes": n, "adjacency": {"v": [w, ...], ...}}.
+
+    Any other shape raises ValueError: a missing key, an adjacency that
+    is not an object, a neighbor list that is not a list, or a node count
+    or neighbor that is not an integer.
+    """
     if not isinstance(obj, dict) or not {"num_nodes", "adjacency"} <= obj.keys():
         raise ValueError("adjacency JSON needs 'num_nodes' and 'adjacency'")
-    n = int(obj["num_nodes"])
+    n = _json_int(obj["num_nodes"], "num_nodes")
+    adjacency = obj["adjacency"]
+    if not isinstance(adjacency, dict):
+        raise ValueError(f"'adjacency' must be an object, got {adjacency!r}")
     edges = set()
-    for v_str, neighbors in obj["adjacency"].items():
+    for v_str, neighbors in adjacency.items():
         v = int(v_str)
+        if not isinstance(neighbors, list):
+            raise ValueError(f"neighbors of node {v_str} must be a list, got {neighbors!r}")
         for w in neighbors:
-            edges.add((min(v, int(w)), max(v, int(w))))
+            w = _json_int(w, f"neighbor of node {v_str}")
+            edges.add((min(v, w), max(v, w)))
     return KeySharingGraph.from_edges(n, edges)
 
 

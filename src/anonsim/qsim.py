@@ -418,16 +418,11 @@ def apply_hadamard_all(state: DenseState) -> DenseState:
     return out
 
 
-def dense_measure(
-    state: DenseState, qubits: tuple[int, ...] | list[int], rng: RngStream
-) -> tuple[tuple[int, ...], DenseState]:
-    """Measure the given qubits in the computational basis.
-
-    Returns outcomes aligned with the `qubits` argument and the
-    renormalized post-measurement state (measured qubits collapsed).
-    One uniform draw decides the joint outcome.
-    """
-    qubits = tuple(qubits)
+def _measurement_cdf(
+    state: DenseState, qubits: tuple[int, ...]
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """The state with the measured axes moved to the front, those axes,
+    the joint outcome probabilities and their cumulative sums."""
     k = len(qubits)
     if len(set(qubits)) != k or k == 0:
         raise ValueError("measured qubits must be distinct and nonempty")
@@ -441,6 +436,24 @@ def dense_measure(
     probs = (np.abs(psi_t) ** 2).reshape(1 << k, -1).sum(axis=1)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
+    return psi_t, axes, probs, cum
+
+
+def dense_measure(
+    state: DenseState, qubits: tuple[int, ...] | list[int], rng: RngStream
+) -> tuple[tuple[int, ...], DenseState]:
+    """Measure the given qubits in the computational basis.
+
+    Returns outcomes aligned with the `qubits` argument and the
+    renormalized post-measurement state (measured qubits collapsed).
+    One uniform draw u decides the joint outcome: its index is where u
+    falls in the cumulative outcome probabilities (searchsorted, side
+    "right"), and bit i of the index from the top is qubits[i]'s outcome.
+    """
+    qubits = tuple(qubits)
+    k = len(qubits)
+    n = state.num_qubits
+    psi_t, axes, probs, cum = _measurement_cdf(state, qubits)
     idx = int(np.searchsorted(cum, rng.uniform(), side="right"))
     outcomes = tuple((idx >> (k - 1 - i)) & 1 for i in range(k))
     sel = psi_t[tuple(outcomes)]
@@ -468,9 +481,26 @@ def bell_measure(
     Z^m0 then X^m1.  In the returned state the measured pair is left
     collapsed to |m0>,|m1> after the basis-change circuit.
     """
+    (m0, m1), post = dense_measure(
+        _bell_basis(state, qubit_a, qubit_b), (qubit_a, qubit_b), rng
+    )
+    return m0, m1, post
+
+
+def bell_outcome_cdf(state: DenseState, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """Cumulative probabilities of bell_measure's outcomes 2*m0 + m1.
+
+    bell_measure(state, qubit_a, qubit_b, rng) returns the outcome
+    searchsorted(cdf, u, side="right") for its one uniform draw u; these
+    are the same floats.
+    """
+    basis = _bell_basis(state, qubit_a, qubit_b)
+    return _measurement_cdf(basis, (qubit_a, qubit_b))[3]
+
+
+def _bell_basis(state: DenseState, qubit_a: int, qubit_b: int) -> DenseState:
+    """Rotate the Bell basis of (qubit_a, qubit_b) onto the computational one."""
     if qubit_a == qubit_b:
         raise ValueError("Bell measurement needs two distinct qubits")
     work = dense_apply_gate(state, CNOT, (qubit_b, qubit_a))
-    work = dense_apply_gate(work, HADAMARD, (qubit_a,))
-    (m0, m1), post = dense_measure(work, (qubit_a, qubit_b), rng)
-    return m0, m1, post
+    return dense_apply_gate(work, HADAMARD, (qubit_a,))

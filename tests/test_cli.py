@@ -212,6 +212,27 @@ def test_graph_json_missing_key_is_config_error(tmp_path, capsys, missing):
     assert len(stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        {"0": 1, "1": [0]},  # a neighbor list that is not a list
+        [[1], [0]],  # an adjacency that is not an object
+        {"0": [1, "2"], "1": [0]},  # a neighbor that is not an int
+        {"0": [1, None], "1": [0]},
+        {"0": [[1]], "1": [0]},
+    ],
+)
+def test_graph_json_malformed_adjacency_is_config_error(tmp_path, capsys, adjacency):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"num_nodes": 3, "adjacency": adjacency}), encoding="utf-8")
+    code, _, stderr = _run(
+        capsys, "keygraph", "--graph", str(path), "--out", str(tmp_path / "k.json"),
+    )
+    assert code == EXIT_CONFIG
+    assert stderr.startswith("error:")
+    assert len(stderr.splitlines()) == 1
+
+
 def test_out_under_a_regular_file_is_config_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
