@@ -1,4 +1,4 @@
-"""Stream addressing and the block replay of scalar draws."""
+"""The block replay of scalar draws."""
 
 from __future__ import annotations
 
@@ -106,10 +106,3 @@ def test_block_draws_reject_bad_arguments():
         list(stream.draw_blocks("UBX", 3))
     with pytest.raises(ValueError, match="nonnegative"):
         list(stream.draw_blocks("U", -1))
-
-
-def test_streams_are_addressed_by_seed_and_id():
-    assert RngStream(3, 4).bits(16) == RngStream(3, 4).bits(16)
-    assert RngStream(3, 4).bits(16) != RngStream(3, 5).bits(16)
-    parent = RngStream(3, 4)
-    assert parent.spawn("cell", 1).bits(16) == RngStream(3, 4).spawn("cell", 1).bits(16)
