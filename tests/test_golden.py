@@ -36,6 +36,7 @@ CASES = {
     # sweeps
     "sweep_collision": "sweep collision --n 2:8 --seed 0",
     "sweep_anon": "sweep anon --n 3:5 --seed 0",
+    "sweep_graphs": "sweep graphs --nodes 5",
     # exact verdicts, plain collusion and full hijack
     "exact_anon_t2": "verdict --protocol anon --n 5 --t 2",
     "exact_anon_traceless": "verdict --protocol anon --n 4 --traceless",
