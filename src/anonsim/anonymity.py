@@ -256,18 +256,21 @@ class Roles(NamedTuple):
 
 
 def _anon_outcomes(r: Roles) -> Iterator[tuple]:
+    _validate_group(r.n)
     return _broadcast_outcomes(
         r.n, [exact_transcript_distribution("anon", r.n, sender=r.sender, d=r.d)]
     )
 
 
 def _ae_outcomes(r: Roles) -> Iterator[tuple]:
+    _validate_group(r.n)
     dist = exact_transcript_distribution("ae", r.n, sender=r.sender, receiver=r.receiver)
     return _broadcast_outcomes(r.n, [dist])
 
 
 def _anonq_outcomes(r: Roles) -> Iterator[tuple]:
     n = r.n
+    _validate_group(n)
     if n > ANONQ_ENUM_PLAYER_LIMIT:
         raise ValueError(
             f"exact enumeration of the qubit protocol supports "
@@ -540,8 +543,9 @@ def _view_counts(
     )
     # One opaque item per row: np.unique(axis=0) would compare a
     # structured item field by field, one field per column, several times
-    # slower.
-    packed = np.packbits(rows, axis=1)
+    # slower.  Viewing a row as one item needs C order, which column
+    # picks such as ae's do not leave.
+    packed = np.packbits(np.ascontiguousarray(rows), axis=1)
     views, inverse = np.unique(
         packed.view(np.dtype((np.void, packed.shape[1]))), return_inverse=True
     )

@@ -7,17 +7,18 @@ only if the honest remainder stays connected, so the interesting graph
 quantities are: which colluder sets partition the honest players, the
 largest collusion size that no set achieves (the tolerance), the minimum
 degree (a degree-1 node is read directly by its only neighbor), and the
-minimum number of keys needed to reach a given tolerance.
+minimum number of keys needed to reach a given tolerance, which is the
+vertex connectivity minus one.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-ENUM_NODE_LIMIT = 12
 GRAPH_SEARCH_NODE_LIMIT = 6
 
 
@@ -144,35 +145,77 @@ def min_degree(g: KeySharingGraph) -> MinDegreeReport:
 def vertex_connectivity(g: KeySharingGraph) -> int:
     """Minimum number of node removals that disconnect the graph.
 
-    n-1 for the complete graph, 0 for a disconnected one.
+    n-1 for the complete graph, 0 for a disconnected one.  By Menger's
+    theorem this is the fewest internally disjoint paths between two
+    non-adjacent nodes, counted as a unit-capacity max flow on the split
+    graph: node v is the arc 2v -> 2v+1, edge {u, w} the arcs 2u+1 -> 2w
+    and 2w+1 -> 2u.  The bound starts at the minimum degree (the
+    neighbors of a minimum-degree node are a cut) and only shrinks.
+    Even's rule (Even & Tarjan, "Network flow and testing graph
+    connectivity", SIAM J. Comput. 4(4), 1975) limits the sources: while
+    the bound exceeds the connectivity k, a minimum cut misses one of
+    v_0..v_k, and the first one it misses is cut off from a later node.
     """
-    import networkx as nx
+    n = g.num_nodes
+    adjacency = [set() for _ in range(n)]
+    residual = {(2 * v, 2 * v + 1): 1 for v in range(n)}
+    for i, j in g.edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+        residual[2 * i + 1, 2 * j] = residual[2 * j + 1, 2 * i] = 1
+    arcs = [[] for _ in range(2 * n)]
+    for a, b in list(residual):
+        residual[b, a] = 0
+        arcs[a].append(b)
+        arcs[b].append(a)
+    bound = min(len(neighbors) for neighbors in adjacency)
+    source = 0
+    while source < bound:
+        for target in range(source + 1, n):
+            if target in adjacency[source]:
+                continue
+            # each common neighbor is a path of its own
+            if len(adjacency[source] & adjacency[target]) < bound:
+                bound = _max_flow(arcs, dict(residual), 2 * source + 1, 2 * target, bound)
+        source += 1
+    return bound
 
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.num_nodes))
-    nxg.add_edges_from(g.edges)
-    return int(nx.node_connectivity(nxg))
+
+def _max_flow(arcs: list[list[int]], residual: dict, source: int, sink: int, cap: int) -> int:
+    """Flow from source to sink by BFS augmenting paths, counted up to cap.
+
+    `arcs[a]` lists the nodes joined to a by an arc either way, and
+    `residual` maps each arc to its remaining capacity; it is used up.
+    """
+    for flow in range(cap):
+        parent = {source: source}
+        frontier = deque(parent)
+        while frontier and sink not in parent:
+            a = frontier.popleft()
+            for b in arcs[a]:
+                if residual[a, b] and b not in parent:
+                    parent[b] = a
+                    frontier.append(b)
+        if sink not in parent:
+            return flow
+        b = sink
+        while b != source:
+            a = parent[b]
+            residual[a, b] -= 1
+            residual[b, a] += 1
+            b = a
+    return cap
 
 
 def tolerance(g: KeySharingGraph) -> int:
     """Largest t such that no colluder set of size <= t partitions g.
 
-    -1 for a disconnected graph (the empty set already partitions it);
-    capped at n-2, which the complete graph attains.  Computed by
-    exhaustive subset enumeration up to ENUM_NODE_LIMIT nodes and via
-    vertex connectivity beyond that (the minimum partitioning set is a
-    minimum vertex cut).
+    A minimum partitioning set is a minimum vertex cut, so this is the
+    vertex connectivity minus one: -1 for a disconnected graph (the empty
+    set already partitions it) and n-2 for the complete graph, the only
+    graph with no partitioning set at all.
     """
-    n = g.num_nodes
-    if not is_connected(g):
-        return -1
-    if n <= ENUM_NODE_LIMIT:
-        for size in range(1, n - 1):
-            for subset in combinations(range(n), size):
-                if is_partitioning_set(g, subset):
-                    return size - 1
-        return n - 2
-    return min(vertex_connectivity(g) - 1, n - 2)
+    return vertex_connectivity(g) - 1
 
 
 def key_lower_bound(n: int, t: int) -> int:

@@ -359,6 +359,10 @@ def test_verdict_argument_errors():
         anonymity_verdict("anon", 4, mode="guess")
     with pytest.raises(ValueError):
         anonymity_verdict("anon", 4, target="decoder")
+    # exact verdicts refuse the groups that the runs refuse
+    for protocol, target in itertools.product(("anon", "ae", "anonq"), ("sender", "receiver")):
+        with pytest.raises(ValueError, match="at least 3 players"):
+            anonymity_verdict(protocol, 2, target=target)
 
 
 def test_verdict_json_round_trips_through_floats():
@@ -431,6 +435,8 @@ def _per_trial_views(spec, cast, watchers, trials, rng) -> dict[int, list]:
         ("dcnet", 4, "sender", KeySharingGraph.cycle(4)),
         ("dcnet", 5, "sender", KeySharingGraph.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])),
+        # hijacked rows are 10 bits wide, more than one packed byte
+        ("ae", 5, "sender", None),
     ],
 )
 @pytest.mark.parametrize("hijack", [False, True])

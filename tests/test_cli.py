@@ -321,6 +321,33 @@ def test_verdict_sampled_mode(tmp_path, capsys):
     assert report["max_tv"] is not None
 
 
+def test_verdict_two_players_is_config_error(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", "anon", "--n", "2", "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    assert "PASS" not in stdout
+    assert stderr.startswith("error:")
+    assert len(stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--n", "5", "--traceless"), ("--n", "6", "--t", "3")],
+)
+def test_verdict_sampled_ae_wider_than_a_byte(tmp_path, capsys, args):
+    # each view row has more than 8 bits, so it packs into several bytes
+    out = tmp_path / "v.json"
+    code, _, stderr = _run(
+        capsys, "verdict", "--protocol", "ae", *args, "--mode", "sampled",
+        "--trials", "100", "--seed", "1", "--out", str(out),
+    )
+    assert code in (EXIT_OK, EXIT_VERDICT), stderr
+    jsonschema.validate(_load(out), VERDICT_SCHEMA)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_verdict_sampled_without_trials_is_config_error(tmp_path, capsys, trials):
     out = tmp_path / "v.json"

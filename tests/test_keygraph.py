@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -142,13 +143,31 @@ def test_tolerance_frozen_examples():
     assert tolerance(KeySharingGraph.from_edges(4, [(0, 1), (2, 3)])) == -1
 
 
-def test_tolerance_agrees_with_enumeration_on_all_5_node_graphs():
-    # dual route: subset enumeration vs the vertex-connectivity shortcut
-    for g in _all_graphs(5):
-        enum = _tolerance_by_enumeration(g)
-        assert tolerance(g) == enum
-        if is_connected(g):
-            assert enum == min(vertex_connectivity(g) - 1, g.num_nodes - 2)
+def _random_graphs(seed, count, min_nodes, max_nodes):
+    """Seeded graphs of varied size and edge density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(min_nodes, max_nodes)
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        yield KeySharingGraph.from_edges(n, edges)
+
+
+def test_tolerance_agrees_with_enumeration():
+    # every 5-node graph, then seeded random graphs of 6-9 nodes
+    graphs = itertools.chain(_all_graphs(5), _random_graphs(7, 60, 6, 9))
+    for g in graphs:
+        assert tolerance(g) == _tolerance_by_enumeration(g)
+
+
+def test_vertex_connectivity_matches_networkx():
+    import networkx as nx
+
+    for g in _random_graphs(11, 200, 2, 30):
+        reference = nx.Graph()
+        reference.add_nodes_from(range(g.num_nodes))
+        reference.add_edges_from(g.edges)
+        assert vertex_connectivity(g) == nx.node_connectivity(reference)
 
 
 def test_tolerance_monotone_under_edge_addition():
@@ -160,7 +179,7 @@ def test_tolerance_monotone_under_edge_addition():
 
 
 def test_tolerance_large_graph_uses_connectivity():
-    # 14 nodes is past the enumeration limit
+    # 14 nodes is past what the enumeration oracle checks
     big = KeySharingGraph.cycle(14)
     assert tolerance(big) == 1
     assert tolerance(KeySharingGraph.complete(14)) == 12
@@ -248,10 +267,23 @@ def test_load_graph_dispatches_on_extension(tmp_path):
     assert load_graph(str(text_path)) == g
 
 
-def test_import_leaves_networkx_unloaded():
+def test_import_leaves_networkx_unloaded(tmp_path):
     import anonsim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, anonsim; sys.exit(int('networkx' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # with networkx unimportable, tolerance and the keygraph command still run
+    out = tmp_path / "k14.json"
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from anonsim.cli import main\n"
+        "from anonsim.keygraph import KeySharingGraph, tolerance\n"
+        "assert tolerance(KeySharingGraph.cycle(14)) == 1\n"
+        f"sys.exit(main(['keygraph', '--graph', 'complete:14', '--out', {str(out)!r}]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["tolerance"] == 12
