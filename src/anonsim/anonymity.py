@@ -16,9 +16,10 @@ protocols do not have that failure mode: their transcript distributions
 are identical for every candidate.
 
 Every protocol the verdicts judge is registered in PROTOCOLS with its
-run function, its exact outcome enumeration and its batched sampler.
-Exact mode enumerates view distributions with rational arithmetic and
-builds views through the one redaction, `_redact`.  Sampled mode draws
+run function and its exact outcome enumeration, and in
+`sampling.SAMPLERS` with its batched sampler.  Exact mode enumerates
+view distributions with rational arithmetic and builds views through
+the one redaction, `_redact`; it never loads numpy.  Sampled mode draws
 all of one candidate's trials at once: the sampler lays each trial's
 view out as one row of bits, a one-to-one image of the redacted view,
 from `RngStream.draw_blocks`, which replays the draws of running the
@@ -31,14 +32,13 @@ plus one byte per view bit of each trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .keygraph import KeySharingGraph, is_connected
 from .protocols import (
@@ -54,7 +54,7 @@ from .protocols import (
     dcnet_send,
     xor_pass,
 )
-from .qsim import DenseState, apply_phase_flip, bell_outcome_cdf, make_ghz, tensor
+from .qsim import apply_phase_flip, make_ghz
 from .rng import RngStream
 
 ENUM_PLAYER_LIMIT = 12
@@ -306,119 +306,17 @@ def _dcnet_outcomes(r: Roles) -> Iterator[tuple]:
         yield (tuple(table[p][b] for p, b in enumerate(announced)),), incident, prob
 
 
-# The samplers below turn blocks of draws from RngStream.draw_blocks
-# into view rows.  Each pattern lists one run's draws in the order the
-# run function makes them.
-
-
-def _sample_rows(
-    rng: RngStream,
-    pattern: str,
-    trials: int,
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """`rows(uniforms, bits)` of every block of `trials` runs, stacked."""
-    return np.concatenate([rows(u, b) for u, b in rng.draw_blocks(pattern, trials)])
-
-
-def _broadcast_rows(rounds: Sequence[np.ndarray], watchers: Sequence[int]) -> np.ndarray:
-    """View rows of GHZ runs from their broadcast rounds (trials x n bits
-    each, in player order).  Every recorded draw is a broadcast bit, so
-    a watcher's draws are their column of the rounds."""
-    n = rounds[0].shape[1]
-    messages = np.column_stack(rounds)
-    draws = [k * n + p for p in watchers for k in range(len(rounds))]
-    return np.column_stack([messages, messages[:, draws]])
-
-
-def _parity_round(lead: np.ndarray, parity) -> np.ndarray:
-    """hadamard_measure_all's outcomes: the lead bits, then the last bit
-    that gives the round its parity."""
-    last = np.bitwise_xor.reduce(lead, axis=1) ^ parity
-    return np.column_stack([lead, last])
-
-
-def _ae_columns(r: Roles) -> np.ndarray:
-    """Player order of ae_establish's draws: the measured players' bits,
-    then the sender's coin, then the receiver's decoy."""
-    measured = [p for p in range(r.n) if p not in (r.sender, r.receiver)]
-    return np.argsort(measured + [r.sender, r.receiver])
-
-
-def _anon_sample(
-    r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
-) -> np.ndarray:
-    _validate_group(r.n)
-    _validate_bit(r.d)
-    # the uniform is moot: a phase of 0 or pi fixes the parity to d
-    return _sample_rows(
-        rng,
-        "U" + "B" * (r.n - 1),
-        trials,
-        lambda u, b: _broadcast_rows([_parity_round(b, r.d)], watchers),
-    )
-
-
-def _ae_sample(
-    r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
-) -> np.ndarray:
-    _validate_group(r.n)
-    columns = _ae_columns(r)
-    return _sample_rows(
-        rng, "B" * r.n, trials, lambda u, b: _broadcast_rows([b[:, columns]], watchers)
-    )
-
-
-def _anonq_sample(
-    r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
-) -> np.ndarray:
-    n = r.n
-    _validate_group(n)
-    columns = _ae_columns(r)
-    # the pair left by ae_establish always has phase 0
-    bell_in = tensor(DenseState(1, _ANONQ_QUBIT), make_ghz(2).to_dense())
-    cdf = bell_outcome_cdf(bell_in, 0, 1)
-
-    def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-        bell = np.searchsorted(cdf, u[:, 0], side="right").astype(np.uint8)
-        pair = b[:, columns]
-        m0 = _parity_round(b[:, n : 2 * n - 1], bell >> 1)
-        m1 = _parity_round(b[:, 2 * n - 1 :], bell & 1)
-        return _broadcast_rows([pair, m0, m1], watchers)
-
-    pattern = "B" * n + "U" + ("U" + "B" * (n - 1)) * 2
-    return _sample_rows(rng, pattern, trials, rows)
-
-
-def _dcnet_sample(
-    r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
-) -> np.ndarray:
-    _validate_bit(r.d)
-    edges = sorted(r.graph.edges)
-
-    def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-        announced, incident = xor_pass(r.n, edges, b.T)
-        announced[r.sender] = announced[r.sender] ^ r.d
-        return np.column_stack(announced + [k for p in watchers for k in incident[p]])
-
-    return _sample_rows(rng, "B" * len(edges), trials, rows)
-
-
 class ProtocolSpec(NamedTuple):
-    """How the verdicts run, enumerate and sample one protocol.
+    """How the verdicts run and enumerate one protocol.
 
     `run(roles, rng)` returns a Run.  `outcomes(roles)` yields every
     outcome of one run as (broadcast rounds of (player, bits) pairs, each
-    player's draws, probability).  `sample(roles, watchers, trials, rng)`
-    draws from `rng` exactly what `trials` calls of `run` would and
-    returns a trials x width uint8 matrix: row i is run i's view as
-    `_redact` builds it, flattened, that is every broadcast bit round by
-    round, then each watcher's draws.
+    player's draws, probability).  The protocol's batched sampler is
+    `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
     outcomes: Callable[[Roles], Iterator[tuple]]
-    sample: Callable[[Roles, Sequence[int], int, RngStream], np.ndarray]
 
 
 # the view of a qubit transfer does not depend on the qubit sent
@@ -426,22 +324,17 @@ _ANONQ_QUBIT = (0.6, 0.8)
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
-        lambda r, rng: anon_send(r.n, r.sender, r.d, rng), _anon_outcomes, _anon_sample
+        lambda r, rng: anon_send(r.n, r.sender, r.d, rng), _anon_outcomes
     ),
     "ae": ProtocolSpec(
-        lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
-        _ae_outcomes,
-        _ae_sample,
+        lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng), _ae_outcomes
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
         _anonq_outcomes,
-        _anonq_sample,
     ),
     "dcnet": ProtocolSpec(
-        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng),
-        _dcnet_outcomes,
-        _dcnet_sample,
+        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng), _dcnet_outcomes
     ),
 }
 
@@ -527,33 +420,6 @@ def _cast(
     return cast
 
 
-def _view_counts(
-    spec: ProtocolSpec,
-    cast: Mapping[int, Roles],
-    watchers: Sequence[int],
-    trials: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Candidates x views matrix: how often each candidate's `trials` runs
-    showed each view.  Candidates are sampled in turn from `rng`; the
-    columns are the distinct view rows in lexicographic order, which
-    packing eight bits to a byte keeps."""
-    rows = np.concatenate(
-        [spec.sample(roles, watchers, trials, rng) for roles in cast.values()]
-    )
-    # One opaque item per row: np.unique(axis=0) would compare a
-    # structured item field by field, one field per column, several times
-    # slower.  Viewing a row as one item needs C order, which column
-    # picks such as ae's do not leave.
-    packed = np.packbits(np.ascontiguousarray(rows), axis=1)
-    views, inverse = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1]))), return_inverse=True
-    )
-    cells = len(cast) * len(views)
-    cell = np.repeat(np.arange(0, cells, len(views)), trials) + inverse.reshape(-1)
-    return np.bincount(cell, minlength=cells).reshape(len(cast), len(views))
-
-
 def anonymity_verdict(
     protocol: str,
     n: int,
@@ -605,6 +471,8 @@ def anonymity_verdict(
             raise ValueError("key-sharing graph must be connected")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if colluders is None:
         colluder_set = frozenset(range(n - t, n))
     else:
@@ -636,7 +504,9 @@ def anonymity_verdict(
             raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
         if rng is None:
             raise ValueError("sampled mode needs an RngStream")
-        counts = _view_counts(spec, cast, watchers, trials, rng)
+        from .sampling import view_counts
+
+        counts = view_counts(protocol, cast, watchers, trials, rng)
         # the exact rationals of the per-view frequencies c / trials: the
         # largest sum of |c_a - c_b| / (2 trials) over candidate pairs, and
         # the largest max_c / sum_c over views, a correctly rounded division

@@ -11,16 +11,16 @@ Exit codes: 0 success, 2 configuration error, 3 protocol abort,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
+import math
 import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import anonymity, keygraph, protocols, qsim, serialize
-from .rng import RngStream, derive_stream_id
+from . import keygraph, protocols, qsim, serialize
+from .rng import RngStream, check_word, derive_stream_id
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,6 +28,10 @@ EXIT_ABORT = 3
 EXIT_VERDICT = 4
 
 OUTDIR_ENV = "ANONSIM_OUTDIR"
+
+# anonymity.PROTOCOLS, named here so that building the parser does not
+# load the anonymity module
+VERDICT_PROTOCOLS = ("anon", "ae", "anonq", "dcnet")
 
 
 def _out_path(args, default_name: str) -> str:
@@ -147,15 +151,33 @@ def cmd_ae(args) -> int:
     )
 
 
-def cmd_anonq(args) -> int:
-    rng = RngStream(args.seed, args.stream_id)
-    alpha = complex(args.alpha)
-    beta = complex(args.beta)
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
+def _parse_qubit(alpha_text: str, beta_text: str) -> tuple[complex, complex]:
+    """The normalized qubit alpha|0> + beta|1> from two complex literals."""
+    alpha = complex(alpha_text)
+    beta = complex(beta_text)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(
+            f"qubit amplitudes must be finite, got {alpha_text} and {beta_text}"
+        )
+    try:
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"qubit amplitudes {alpha_text} and {beta_text} are too large to normalize"
+        )
     if norm <= 0.0:
         raise ValueError("qubit amplitudes must not both be zero")
     scale = norm ** -0.5
-    qubit = (alpha * scale, beta * scale)
+    return alpha * scale, beta * scale
+
+
+def cmd_anonq(args) -> int:
+    import numpy as np
+
+    rng = RngStream(args.seed, args.stream_id)
+    qubit = _parse_qubit(args.alpha, args.beta)
     run = protocols.anonq_send(args.n, args.sender, args.receiver, qubit, rng)
     config = {"sender": args.sender, "receiver": args.receiver}
     if run.output is None:
@@ -195,6 +217,8 @@ def cmd_dcnet(args) -> int:
     summary = [("d", args.d), ("decoded", run.output)]
     traced = None
     if args.trace:
+        from . import anonymity
+
         announcements = [int(e.bits) for e in run.transcript.rounds[0]]
         traced = anonymity.trace_attack(graph, keys, announcements, args.d)
         summary.append(("traced", traced))
@@ -241,6 +265,8 @@ def cmd_keygraph(args) -> int:
 
 
 def cmd_verdict(args) -> int:
+    from . import anonymity
+
     graph = _parse_graph(args.graph) if args.graph else None
     rng = RngStream(args.seed, args.stream_id) if args.mode == "sampled" else None
     kwargs = dict(
@@ -248,7 +274,6 @@ def cmd_verdict(args) -> int:
         t=args.t,
         d=args.d,
         mode=args.mode,
-        trials=args.trials,
         tolerance=args.tolerance,
         rng=rng,
         graph=graph,
@@ -256,6 +281,8 @@ def cmd_verdict(args) -> int:
     )
     if args.colluders is not None:
         kwargs["colluders"] = _parse_ids(args.colluders)
+    if args.trials is not None:
+        kwargs["trials"] = args.trials
     verdict = anonymity.anonymity_verdict(args.protocol, args.n, **kwargs)
     path = _out_path(
         args, f"verdict_{args.protocol}_n{args.n}_t{verdict.t}.json"
@@ -357,6 +384,8 @@ def _sweep_graphs(args) -> tuple[list[str], list[list]]:
 
 def cmd_sweep(args) -> int:
     sweeps = {"collision": _sweep_collision, "anon": _sweep_anon, "graphs": _sweep_graphs}
+    # a bad seed is a configuration error, not a failure in every cell
+    check_word(args.seed, "seed")
     header, rows = sweeps[args.family](args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -432,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report key_lower_bound(n, t)")
 
     p = sub.add_parser("verdict", help="anonymity measurement")
-    p.add_argument("--protocol", required=True, choices=tuple(anonymity.PROTOCOLS))
+    p.add_argument("--protocol", required=True, choices=VERDICT_PROTOCOLS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", default="sender", choices=("sender", "receiver"))
     p.add_argument("--t", type=int, default=0)
     p.add_argument("--colluders")
     p.add_argument("--d", type=int, choices=(0, 1), default=1)
     p.add_argument("--mode", default="exact", choices=("exact", "sampled"))
-    p.add_argument("--trials", type=int, default=anonymity.DEFAULT_SAMPLED_TRIALS)
+    p.add_argument("--trials", type=int, help="sampled trials per candidate")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--graph", help="key-sharing graph (dcnet only)")
     p.add_argument("--traceless", action="store_true",

@@ -21,14 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .keygraph import KeySharingGraph, is_connected
 from .qsim import (
     DenseState,
     GhzPhaseState,
-    PAULI_X,
-    PAULI_Z,
     apply_phase_flip,
     apply_rz,
     bell_measure,
@@ -300,6 +296,10 @@ def anonq_send(
     with two anonymous broadcasts.  The receiver applies Z^m0 then X^m1.
     The output is the received amplitudes, None if any stage aborted.
     """
+    import numpy as np
+
+    from .qsim import PAULI_X, PAULI_Z
+
     amps = np.asarray(qubit, dtype=complex).reshape(-1)
     if amps.size != 2:
         raise ValueError("qubit must be a pair of amplitudes")

@@ -8,7 +8,9 @@ where phi stays a dyadic multiple of pi.  GhzPhaseState tracks that one
 relative phase with exact integer arithmetic, so protocol correctness
 claims are checked without floating point.  DenseState is a conventional
 state-vector backend used as an independent oracle on small systems and
-for the teleportation step, which leaves the GHZ manifold.
+for the teleportation step, which leaves the GHZ manifold.  Only the
+dense backend and the gate matrices use numpy, and they import it where
+they run, so work that stays on the manifold never loads it.
 
 Conventions
 -----------
@@ -26,35 +28,58 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    import numpy as np
 
 DENSE_QUBIT_LIMIT = 14
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# Basis index for a two-qubit gate is bit(targets[0]) + 2*bit(targets[1]),
-# so this matrix flips targets[0] when targets[1] is set.
-CNOT = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ],
-    dtype=complex,
-)
+_GATE_NAMES = ("HADAMARD", "PAULI_X", "PAULI_Z", "CNOT")
+
+
+@lru_cache(maxsize=None)
+def _gates() -> dict:
+    """The gate matrices, as complex arrays."""
+    import numpy as np
+
+    return {
+        "HADAMARD": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF,
+        "PAULI_X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        "PAULI_Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+        # Basis index for a two-qubit gate is bit(targets[0]) + 2*bit(targets[1]),
+        # so this matrix flips targets[0] when targets[1] is set.
+        "CNOT": np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+                [0.0, 0.0, 1.0, 0.0],
+            ],
+            dtype=complex,
+        ),
+    }
+
+
+def __getattr__(name: str):
+    """HADAMARD, PAULI_X, PAULI_Z and CNOT, built on first use so that the
+    phase-manifold code never loads numpy."""
+    if name in _GATE_NAMES:
+        return _gates()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def rz_gate(numerator: int, denom_exp: int) -> np.ndarray:
     """diag(1, exp(i*pi*numerator/2^denom_exp)), global phase dropped."""
+    import numpy as np
+
     if denom_exp < 0:
         raise ValueError(f"denom_exp must be nonnegative, got {denom_exp}")
     theta = math.pi * numerator / (1 << denom_exp)
@@ -87,6 +112,8 @@ class GhzPhaseState:
     @property
     def phase_fraction(self) -> Fraction:
         """Relative phase in units of pi, exact, in [0, 2)."""
+        from fractions import Fraction
+
         return Fraction(self.phase_numerator, 1 << self.phase_denom_exp)
 
     @property
@@ -124,6 +151,8 @@ class GhzPhaseState:
 
     def to_dense(self) -> "DenseState":
         """Amplitude-vector form of this state."""
+        import numpy as np
+
         amps = np.zeros(1 << self.num_qubits, dtype=complex)
         amps[0] = _SQRT_HALF
         amps[-1] = _SQRT_HALF * cmath.exp(1j * self.phase_radians)
@@ -139,6 +168,8 @@ class GhzPhaseState:
         (within atol) or if the relative phase is not representable with
         the requested denominator exponent.
         """
+        import numpy as np
+
         n = dense.num_qubits
         amps = dense.amplitudes
         interior = amps[1:-1]
@@ -235,6 +266,8 @@ def parity_odd_probability(state: GhzPhaseState) -> float:
 
 @lru_cache(maxsize=None)
 def _parity_table(num_qubits: int) -> np.ndarray:
+    import numpy as np
+
     table = np.zeros(1 << num_qubits, dtype=np.float64)
     for x in range(1 << num_qubits):
         table[x] = bin(x).count("1") & 1
@@ -318,6 +351,8 @@ class DenseState:
         *,
         limit: int = DENSE_QUBIT_LIMIT,
     ) -> None:
+        import numpy as np
+
         if num_qubits < 1:
             raise ValueError(f"need at least 1 qubit, got {num_qubits}")
         if num_qubits > limit:
@@ -340,14 +375,18 @@ class DenseState:
         self.amplitudes = amps
 
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return abs(self.amplitudes) ** 2
 
 
 def ghz_dense(num_qubits: int, *, limit: int = DENSE_QUBIT_LIMIT) -> DenseState:
     """Dense GHZ state with phase 0."""
+    import numpy as np
+
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = _SQRT_HALF
     amps[-1] = _SQRT_HALF
@@ -356,6 +395,8 @@ def ghz_dense(num_qubits: int, *, limit: int = DENSE_QUBIT_LIMIT) -> DenseState:
 
 def tensor(low: DenseState, high: DenseState) -> DenseState:
     """Combined state with `low`'s qubits as the low bit positions."""
+    import numpy as np
+
     n = low.num_qubits + high.num_qubits
     amps = np.kron(high.amplitudes, low.amplitudes)
     return DenseState(n, amps, limit=max(n, DENSE_QUBIT_LIMIT))
@@ -363,12 +404,16 @@ def tensor(low: DenseState, high: DenseState) -> DenseState:
 
 def fidelity(a: DenseState, b: DenseState) -> float:
     """|<a|b>|^2."""
+    import numpy as np
+
     if a.num_qubits != b.num_qubits:
         raise ValueError("fidelity needs equal qubit counts")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def _is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
+    import numpy as np
+
     dim = matrix.shape[0]
     return bool(
         np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=atol)
@@ -383,6 +428,8 @@ def dense_apply_gate(
     For a two-qubit gate the matrix basis index is
     bit(targets[0]) + 2*bit(targets[1]).
     """
+    import numpy as np
+
     gate = np.asarray(gate, dtype=complex)
     targets = tuple(targets)
     k = len(targets)
@@ -414,7 +461,7 @@ def dense_apply_gate(
 def apply_hadamard_all(state: DenseState) -> DenseState:
     out = state
     for q in range(state.num_qubits):
-        out = dense_apply_gate(out, HADAMARD, (q,))
+        out = dense_apply_gate(out, _gates()["HADAMARD"], (q,))
     return out
 
 
@@ -423,6 +470,8 @@ def _measurement_cdf(
 ) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
     """The state with the measured axes moved to the front, those axes,
     the joint outcome probabilities and their cumulative sums."""
+    import numpy as np
+
     k = len(qubits)
     if len(set(qubits)) != k or k == 0:
         raise ValueError("measured qubits must be distinct and nonempty")
@@ -450,6 +499,8 @@ def dense_measure(
     falls in the cumulative outcome probabilities (searchsorted, side
     "right"), and bit i of the index from the top is qubits[i]'s outcome.
     """
+    import numpy as np
+
     qubits = tuple(qubits)
     k = len(qubits)
     n = state.num_qubits
@@ -502,5 +553,6 @@ def _bell_basis(state: DenseState, qubit_a: int, qubit_b: int) -> DenseState:
     """Rotate the Bell basis of (qubit_a, qubit_b) onto the computational one."""
     if qubit_a == qubit_b:
         raise ValueError("Bell measurement needs two distinct qubits")
-    work = dense_apply_gate(state, CNOT, (qubit_b, qubit_a))
-    return dense_apply_gate(work, HADAMARD, (qubit_a,))
+    gates = _gates()
+    work = dense_apply_gate(state, gates["CNOT"], (qubit_b, qubit_a))
+    return dense_apply_gate(work, gates["HADAMARD"], (qubit_a,))

@@ -19,7 +19,6 @@ from anonsim.anonymity import (
     _bayes_posterior_max,
     _cast,
     _redact,
-    _view_counts,
     adversary_view,
     anonymity_verdict,
     exact_transcript_distribution,
@@ -30,6 +29,7 @@ from anonsim.anonymity import (
 from anonsim.keygraph import KeySharingGraph
 from anonsim.protocols import anon_send, dcnet_announce, dcnet_send
 from anonsim.rng import RngStream
+from anonsim.sampling import SAMPLERS, view_counts
 
 
 def _keys_for(graph: KeySharingGraph, mask: int) -> dict:
@@ -317,6 +317,15 @@ def test_sampled_anon_passes_default_tolerance():
     assert v.seed == 20_000
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("tolerance", [float("nan"), -0.01, float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(mode, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        anonymity_verdict(
+            "anon", 4, mode=mode, trials=10, rng=RngStream(1), tolerance=tolerance
+        )
+
+
 def test_sampled_dcnet_star_fails():
     rng = RngStream(21, 0)
     graph = KeySharingGraph.star(4)
@@ -405,7 +414,7 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
         view = adversary_view(transcript, ledger, (), hijacked_all=True)
         assert view.key() in exact
     exact_rows = {_flat(view) for view in exact}
-    rows = spec.sample(roles, everyone, 200, rng)
+    rows = SAMPLERS[protocol](roles, everyone, 200, rng)
     assert rows.dtype == np.uint8
     assert rows.shape == (200, len(next(iter(exact_rows))))
     assert {tuple(row) for row in rows.tolist()} <= exact_rows
@@ -452,14 +461,14 @@ def test_count_matrix_matches_per_trial_runs(protocol, n, target, graph, hijack,
     views = _per_trial_views(spec, cast, watchers, trials, RngStream(seed, 77))
     rng = RngStream(seed, 77)
     for cand, roles in cast.items():
-        rows = spec.sample(roles, watchers, trials, rng)
+        rows = SAMPLERS[protocol](roles, watchers, trials, rng)
         assert [tuple(row) for row in rows.tolist()] == [_flat(v) for v in views[cand]]
 
     # view for view: column j counts the j-th distinct view in row order
     tallies = {cand: Counter(views[cand]) for cand in cast}
     distinct = sorted({v for vs in views.values() for v in vs}, key=_flat)
     assert len({_flat(v) for v in distinct}) == len(distinct)
-    counts = _view_counts(spec, cast, watchers, trials, RngStream(seed, 77))
+    counts = view_counts(protocol, cast, watchers, trials, RngStream(seed, 77))
     assert counts.tolist() == [[tallies[c][v] for v in distinct] for c in cast]
 
     # and the verdict reports what the per-trial frequencies give

@@ -8,13 +8,16 @@ import jsonschema
 import pytest
 
 from anonsim import serialize
+from anonsim.anonymity import PROTOCOLS
 from anonsim.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERDICT,
+    VERDICT_PROTOCOLS,
     main,
 )
+from anonsim.sampling import SAMPLERS
 
 RUN_SCHEMA = json.loads(serialize.schema_text(serialize.RUN_RECORD_SCHEMA))
 VERDICT_SCHEMA = json.loads(serialize.schema_text(serialize.VERDICT_REPORT_SCHEMA))
@@ -134,6 +137,58 @@ def test_anonq_accepts_negative_amplitude_as_separate_value(tmp_path, capsys):
     assert code == EXIT_OK
     assert "fidelity=1.000000000000" in stdout
     assert _load(out)["config"]["beta"] == "-0.8j"
+
+
+def _assert_config_error(code, stdout, stderr, out=None):
+    """Exit 2 with one `error:` line, no summary and no file."""
+    assert code == EXIT_CONFIG
+    assert stderr.startswith("error:")
+    assert len(stderr.splitlines()) == 1
+    assert stdout == ""
+    assert out is None or not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("nan", "0"), ("inf", "0"), ("0.6", "-infj"), ("nan+1j", "0"),
+     ("1e308", "0"), ("1e200+1e200j", "0"), ("1e154", "1e154")],
+)
+def test_anonq_rejects_non_finite_or_overflowing_amplitudes(tmp_path, capsys, alpha, beta):
+    out = tmp_path / "anonq.json"
+    code, stdout, stderr = _run(
+        capsys, "anonq", "--n", "4", "--sender", "0", "--receiver", "2",
+        "--alpha", alpha, "--beta", beta, "--seed", "5", "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+
+
+def test_anonq_normalizes_large_finite_amplitudes(tmp_path, capsys):
+    out = tmp_path / "anonq.json"
+    code, stdout, _ = _run(
+        capsys, "anonq", "--n", "4", "--sender", "0", "--receiver", "2",
+        "--alpha", "6e100", "--beta", "8e100j", "--seed", "5", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert "fidelity=1.000000000000" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("anon", "--n", "4", "--sender", "1", "--d", "1", "--seed", str(2**64)),
+        ("anon", "--n", "4", "--flippers", "0", "--seed", "-1"),
+        ("collision", "--n", "4", "--wishers", "1", "--seed", "0", "--stream-id", str(2**64)),
+        ("dcnet", "--graph", "cycle:4", "--sender", "0", "--d", "1", "--seed", str(2**70)),
+        ("verdict", "--protocol", "anon", "--n", "3", "--mode", "sampled", "--seed", str(2**64)),
+        ("sweep", "anon", "--n", "3:3", "--seed", str(2**64)),
+    ],
+)
+def test_out_of_range_seed_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code, stdout, stderr = _run(capsys, *argv, "--out", str(out))
+    _assert_config_error(code, stdout, stderr, out)
+    assert argv[-1] in stderr
 
 
 def test_collision_summary_and_record(tmp_path, capsys):
@@ -359,6 +414,31 @@ def test_verdict_sampled_without_trials_is_config_error(tmp_path, capsys, trials
     assert "PASS" not in stdout
     assert stderr.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_verdict_rejects_bad_tolerance(tmp_path, capsys, mode, tolerance):
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", "anon", "--n", "4", "--traceless",
+        "--mode", mode, "--trials", "50", "--tolerance", tolerance, "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+
+
+def test_verdict_zero_tolerance_passes_at_the_baseline(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    code, stdout, _ = _run(
+        capsys, "verdict", "--protocol", "anon", "--n", "4", "--traceless",
+        "--tolerance", "0", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert "PASS" in stdout
+
+
+def test_verdict_protocol_choices_are_the_registered_protocols():
+    assert set(VERDICT_PROTOCOLS) == set(PROTOCOLS) == set(SAMPLERS)
 
 
 def test_verdict_colluders_flag(tmp_path, capsys):

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import anonsim
 from anonsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +95,53 @@ def test_golden_output(name, tmp_path):
     data, summary = _run_case(name, tmp_path)
     assert data == (GOLDEN / f"{name}{_suffix(name)}").read_bytes()
     assert summary == _summaries()[name]
+
+
+# The cases that need numpy: amplitude arrays (the fidelities of ae and
+# anonq) and batched sampling.  Every other case stays on the GHZ phase
+# manifold and runs without it.
+NUMPY_CASES = {"ae", "anonq"} | {name for name in CASES if name.startswith("sampled_")}
+
+# Runs the cases named in argv[1] (name -> argv) with numpy unimportable
+# and prints, for each, '<exit code> <summary line>' or "needs numpy".
+_BLOCKED_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from anonsim import *
+from anonsim.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        results[name] = f"{code} {stdout.getvalue().splitlines()[0]}"
+    except ImportError:
+        results[name] = "needs numpy"
+print(json.dumps(results))
+"""
+
+
+def test_phase_manifold_cases_run_without_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
+    argv = {
+        name: [*CASES[name].split(), "--out", str(tmp_path / f"{name}{_suffix(name)}")]
+        for name in sorted(CASES)
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_CHILD, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    summaries = _summaries()
+    for name in sorted(CASES):
+        if name in NUMPY_CASES:
+            assert results[name] == "needs numpy"
+            continue
+        assert results[name] == summaries[name]
+        written = tmp_path / f"{name}{_suffix(name)}"
+        assert written.read_bytes() == (GOLDEN / written.name).read_bytes()
 
 
 def _regenerate() -> None:
