@@ -21,6 +21,7 @@ _EXPORTS = {
     ),
     "keygraph": (
         "KeySharingGraph",
+        "components",
         "is_connected",
         "is_partitioning_set",
         "key_lower_bound",
@@ -43,7 +44,6 @@ _EXPORTS = {
         "anonq_send",
         "anonymous_key_exchange",
         "collision_detect",
-        "dcnet_announce",
         "dcnet_send",
         "decompose_k",
         "elect_sender_receiver",

@@ -16,15 +16,20 @@ protocols do not have that failure mode: their transcript distributions
 are identical for every candidate.
 
 Every protocol the verdicts judge is registered in PROTOCOLS with its
-run function and its exact outcome enumeration, and in
-`sampling.SAMPLERS` with its batched sampler.  Exact mode enumerates
-view distributions with rational arithmetic and builds views through
-the one redaction, `_redact`; it never loads numpy.  Sampled mode draws
-all of one candidate's trials at once: the sampler lays each trial's
-view out as one row of bits, a one-to-one image of the redacted view,
-from `RngStream.draw_blocks`, which replays the draws of running the
-protocol trial after trial.  The rows of all candidates become one
-candidates x views count matrix, compared by total variation distance.
+run function and its exact posterior, and in `sampling.SAMPLERS` with
+its batched sampler.  Exact mode is rational arithmetic and never loads
+numpy.  For the GHZ protocols it enumerates view distributions, built
+through the one redaction, `_redact`.  For the XOR network it is the
+closed form of Chaum's argument: with d = 1 the adversary learns which
+block of players it cannot split holds the sender, and nothing more;
+the tests check it against enumerating every key assignment.
+
+Sampled mode draws all of one candidate's trials at once: the sampler
+lays each trial's view out as one row of bits, a one-to-one image of
+the redacted view, from `RngStream.draw_blocks`, which replays the
+draws of running the protocol trial after trial.  The rows of all
+candidates become one candidates x views count matrix, compared by
+total variation distance.
 Seeded sampled reports are therefore byte-identical to those of running
 and redacting every trial, and memory is bounded per block of trials
 plus one byte per view bit of each trial.
@@ -37,10 +42,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from operator import mul
+from operator import mul, xor
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .keygraph import KeySharingGraph, is_connected
+from .keygraph import KeySharingGraph, components, is_connected
 from .protocols import (
     RandomnessLedger,
     Run,
@@ -52,14 +57,12 @@ from .protocols import (
     anon_send,
     anonq_send,
     dcnet_send,
-    xor_pass,
 )
 from .qsim import apply_phase_flip, make_ghz
 from .rng import RngStream
 
 ENUM_PLAYER_LIMIT = 12
 ANONQ_ENUM_PLAYER_LIMIT = 6
-DCNET_EDGE_LIMIT = 16
 
 DEFAULT_SAMPLED_TRIALS = 10_000
 DEFAULT_TV_TOLERANCE = 0.05
@@ -134,34 +137,23 @@ def adversary_view(
     return AdversaryView(corrupted, hijacked_all, messages, randomness)
 
 
-def trace_attack(
-    graph: KeySharingGraph,
-    keys: Mapping[tuple[int, int], int],
-    announcements: Sequence[int],
-    d: int,
-) -> Optional[int]:
-    """Identify the sender from hijacked randomness, when possible.
+def trace_attack(run: Run, d: int) -> Optional[int]:
+    """Identify the sender of an XOR-network run from hijacked randomness.
 
-    For each player, replay their announcement both ways: as a
-    non-sender (XOR of their incident keys) and as the sender (the same
-    XOR plus d).  A player whose observed announcement matches only the
-    sender replay is identified.  For d = 0 the two replays coincide and
-    nobody is distinguishable.  Returns the identified player or None.
+    Each player's ledger holds their incident key bits, so their
+    announcement as a non-sender is the XOR of their ledger values, and
+    as the sender that XOR plus d.  A player whose announcement in the
+    transcript matches only the sender replay is identified.  For d = 0
+    the two replays coincide and nobody is distinguishable.  Returns the
+    identified player or None.
     """
     _validate_bit(d)
-    n = graph.num_nodes
-    if len(announcements) != n:
-        raise ValueError(f"expected {n} announcements, got {len(announcements)}")
-    edges = sorted(graph.edges)
-    non_sender, _ = xor_pass(n, edges, [keys[e] for e in edges])
+    # the sender replay, non-sender ^ d, differs from it only for d = 1
     matches = [
-        p
-        for p in range(n)
-        if announcements[p] == non_sender[p] ^ d and announcements[p] != non_sender[p]
+        e.player for e in run.transcript.rounds[0]
+        if d and int(e.bits) != reduce(xor, run.ledger.values(e.player), 0)
     ]
-    if len(matches) == 1:
-        return matches[0]
-    return None
+    return matches[0] if len(matches) == 1 else None
 
 
 def _anon_round(n, sender, receiver, d) -> dict[tuple[int, ...], Fraction]:
@@ -290,33 +282,47 @@ def _anonq_outcomes(r: Roles) -> Iterator[tuple]:
     return _broadcast_outcomes(n, [pair, announce, announce])
 
 
-def _dcnet_outcomes(r: Roles) -> Iterator[tuple]:
-    n = r.n
-    edges = sorted(r.graph.edges)
-    if len(edges) > DCNET_EDGE_LIMIT:
-        raise ValueError(
-            f"exact enumeration supports at most {DCNET_EDGE_LIMIT} edges; "
-            "use sampled mode"
-        )
-    table = [((p, "0"), (p, "1")) for p in range(n)]
-    prob = Fraction(1, 1 << len(edges))
-    for key_bits in product((0, 1), repeat=len(edges)):
-        announced, incident = xor_pass(n, edges, key_bits)
-        announced[r.sender] ^= r.d
-        yield (tuple(table[p][b] for p, b in enumerate(announced)),), incident, prob
+def _dcnet_exact(cast: Mapping[int, Roles], watchers: Sequence[int]) -> Fraction:
+    """The XOR network's exact posterior in closed form (Chaum, J.
+    Cryptology 1(1), 1988).
+
+    A watched player's keys are known, so their announcement shows
+    whether they sent.  A component of the unwatched players shows only
+    its announcements' parity, d if it holds the sender: its unknown
+    keys make every pattern of that parity equally likely.  So for d = 1
+    the posterior is one over the fewest candidates in such a block; for
+    d = 0 it is the baseline.
+    """
+    roles = next(iter(cast.values()))
+    if _validate_bit(roles.d) == 0:
+        return Fraction(1, len(cast))
+    unwatched = set(range(roles.n)) - set(watchers)
+    blocks = components(roles.graph, unwatched) + [[p] for p in watchers]
+    sizes = [len(cast.keys() & set(block)) for block in blocks]
+    return Fraction(1, min(size for size in sizes if size))
 
 
 class ProtocolSpec(NamedTuple):
-    """How the verdicts run and enumerate one protocol.
+    """How the verdicts run and judge one protocol.
 
-    `run(roles, rng)` returns a Run.  `outcomes(roles)` yields every
-    outcome of one run as (broadcast rounds of (player, bits) pairs, each
-    player's draws, probability).  The protocol's batched sampler is
+    `run(roles, rng)` returns a Run.  `exact(cast, watchers)` is the
+    Bayes-optimal posterior maximum when each candidate of `cast` takes
+    the target role and the adversary sees every broadcast and the
+    draws of the watched players.  The protocol's batched sampler is
     `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
-    outcomes: Callable[[Roles], Iterator[tuple]]
+    exact: Callable[[Mapping[int, Roles], Sequence[int]], Fraction]
+
+
+def _enumerated(outcomes: Callable[[Roles], Iterator[tuple]]) -> Callable:
+    """`exact` from an enumeration: `outcomes(roles)` yields every outcome
+    of one run as (broadcast rounds of (player, bits) pairs, each
+    player's draws, probability)."""
+    return lambda cast, watchers: _bayes_posterior_max(
+        _exact_view_dists(outcomes, cast, watchers)
+    )
 
 
 # the view of a qubit transfer does not depend on the qubit sent
@@ -324,17 +330,18 @@ _ANONQ_QUBIT = (0.6, 0.8)
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
-        lambda r, rng: anon_send(r.n, r.sender, r.d, rng), _anon_outcomes
+        lambda r, rng: anon_send(r.n, r.sender, r.d, rng), _enumerated(_anon_outcomes)
     ),
     "ae": ProtocolSpec(
-        lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng), _ae_outcomes
+        lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
+        _enumerated(_ae_outcomes),
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
-        _anonq_outcomes,
+        _enumerated(_anonq_outcomes),
     ),
     "dcnet": ProtocolSpec(
-        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng), _dcnet_outcomes
+        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng), _dcnet_exact
     ),
 }
 
@@ -388,12 +395,15 @@ def _bayes_posterior_max(dists: Mapping[int, Mapping]) -> Fraction:
 
 
 def _exact_view_dists(
-    spec: ProtocolSpec, cast: Mapping[int, Roles], watchers: Sequence[int]
+    outcomes: Callable[[Roles], Iterator[tuple]],
+    cast: Mapping[int, Roles],
+    watchers: Sequence[int],
 ) -> dict[int, dict]:
+    """Each candidate's exact distribution of redacted views."""
     dists: dict[int, dict] = {}
     for cand, roles in cast.items():
         dist: dict = {}
-        for rounds, draws, prob in spec.outcomes(roles):
+        for rounds, draws, prob in outcomes(roles):
             key = _redact(rounds, draws.__getitem__, watchers)
             if key in dist:
                 dist[key] += prob
@@ -441,8 +451,9 @@ def anonymity_verdict(
     distribution of the adversary's view, and reports the Bayes-optimal
     posterior maximum against the uniform baseline 1/(n - t).
 
-    Exact mode enumerates views with rational arithmetic; the verdict is
-    posterior_max == baseline (or within `tolerance` if one is given).
+    Exact mode computes the posterior with rational arithmetic through
+    the protocol's `exact`; the verdict is posterior_max == baseline (or
+    within `tolerance` if one is given).
     Sampled mode estimates each candidate's view distribution from
     `trials` runs (at least one) and passes iff the largest pairwise
     total variation distance is at most `tolerance` (default 0.05); it
@@ -493,8 +504,7 @@ def anonymity_verdict(
 
     extra = {}
     if mode == "exact":
-        dists = _exact_view_dists(spec, cast, watchers)
-        posterior_max = _bayes_posterior_max(dists)
+        posterior_max = spec.exact(cast, watchers)
         if tolerance is None:
             verdict = posterior_max == baseline
         else:

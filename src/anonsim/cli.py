@@ -212,15 +212,13 @@ def cmd_collision(args) -> int:
 def cmd_dcnet(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
     graph = _parse_graph(args.graph)
-    keys = {e: rng.bit() for e in sorted(graph.edges)}
-    run = protocols.dcnet_announce(graph, keys, args.sender, args.d)
+    run = protocols.dcnet_send(graph, args.sender, args.d, rng)
     summary = [("d", args.d), ("decoded", run.output)]
     traced = None
     if args.trace:
         from . import anonymity
 
-        announcements = [int(e.bits) for e in run.transcript.rounds[0]]
-        traced = anonymity.trace_attack(graph, keys, announcements, args.d)
+        traced = anonymity.trace_attack(run, args.d)
         summary.append(("traced", traced))
     return _record_run(
         args, "dcnet", graph.num_nodes, run,
@@ -357,8 +355,8 @@ def _sweep_graphs(args) -> tuple[list[str], list[list]]:
     from itertools import combinations
 
     n = args.nodes
-    if n > 6:
-        raise ValueError("graph sweep supports at most 6 nodes")
+    if not 2 <= n <= 6:
+        raise ValueError(f"graph sweep supports 2 to 6 nodes, got {n}")
     pairs = list(combinations(range(n), 2))
     header = [
         "mask", "num_edges", "edges", "connected", "min_degree", "tolerance",

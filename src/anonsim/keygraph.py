@@ -85,29 +85,34 @@ class KeySharingGraph:
         )
 
 
+def components(g: KeySharingGraph, nodes: Optional[Iterable[int]] = None) -> list[list[int]]:
+    """Connected components of the subgraph induced by `nodes` (default:
+    all), each sorted, in order of their smallest node."""
+    unseen = set(range(g.num_nodes)) if nodes is None else set(nodes)
+    adjacency = {v: [] for v in unseen}
+    for i, j in g.edges:
+        if i in unseen and j in unseen:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    found = []
+    for start in sorted(unseen):
+        if start in unseen:
+            component = [start]
+            unseen.discard(start)
+            for v in component:
+                fresh = [w for w in adjacency[v] if w in unseen]
+                unseen.difference_update(fresh)
+                component.extend(fresh)
+            found.append(sorted(component))
+    return found
+
+
 def is_connected(g: KeySharingGraph, nodes: Optional[Iterable[int]] = None) -> bool:
     """Connectivity of the subgraph induced by `nodes` (default: all).
 
     Zero or one nodes count as connected.
     """
-    node_set = set(range(g.num_nodes)) if nodes is None else set(nodes)
-    if len(node_set) <= 1:
-        return True
-    adjacency = {v: set() for v in node_set}
-    for i, j in g.edges:
-        if i in node_set and j in node_set:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    start = next(iter(node_set))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(node_set)
+    return len(components(g, nodes)) <= 1
 
 
 def is_partitioning_set(g: KeySharingGraph, colluders: Iterable[int]) -> bool:

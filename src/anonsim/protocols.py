@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, is_connected
 from .qsim import (
@@ -372,14 +372,21 @@ def _xor_network(
     return edges, tuple(map(tuple, names))
 
 
-def _xor_round(
-    graph: KeySharingGraph, sender: int, d: int, key_bits: Sequence[int]
-) -> Run:
+def dcnet_send(graph: KeySharingGraph, sender: int, d: int, rng: RngStream) -> Run:
+    """One round of the pairwise-key XOR network (dining cryptographers).
+
+    Draws one key bit per edge, in sorted-edge order.  Each player
+    announces the XOR of their incident key bits, plus the data bit for
+    the sender.  Every key enters exactly two announcements, so the
+    output, the XOR of all announcements, is d.  Each player's ledger
+    holds their incident key bits in sorted-edge order, named `key:i-j`;
+    the sender's data bit is not a ledger entry.
+    """
+    edges, names = _xor_network(graph)
     n = graph.num_nodes
     _validate_players(n, "sender", (sender,))
     _validate_bit(d)
-    edges, names = _xor_network(graph)
-    announced, incident = xor_pass(n, edges, key_bits)
+    announced, incident = xor_pass(n, edges, [rng.bit() for _ in edges])
     announced[sender] ^= d
     transcript = Transcript("dcnet", n)
     transcript.add_round([BroadcastEntry(p, str(bit)) for p, bit in enumerate(announced)])
@@ -387,36 +394,6 @@ def _xor_round(
         dict(enumerate(map(list, names))), dict(enumerate(incident))
     )
     return Run(sum(announced) & 1, transcript, ledger)
-
-
-def dcnet_send(graph: KeySharingGraph, sender: int, d: int, rng: RngStream) -> Run:
-    """One round of the pairwise-key XOR network (dining cryptographers).
-
-    Draws one key bit per edge, in sorted-edge order, then announces as
-    dcnet_announce does with those keys.
-    """
-    edges, _ = _xor_network(graph)
-    return _xor_round(graph, sender, d, [rng.bit() for _ in edges])
-
-
-def dcnet_announce(
-    graph: KeySharingGraph, keys: Mapping[tuple[int, int], int], sender: int, d: int
-) -> Run:
-    """Announce one bit per player under the given edge keys.
-
-    Each announcement is the XOR of the player's incident key bits, plus
-    the data bit for the sender.  Every key enters exactly two
-    announcements, so the output, the XOR of all announcements, is d.
-    Each player's ledger holds their incident key bits in sorted-edge
-    order, named `key:i-j`; the sender's data bit is not a ledger entry.
-    """
-    edges, _ = _xor_network(graph)
-    if set(keys) != graph.edges:
-        raise ValueError("keys must cover exactly the graph's edges")
-    for e, bit in keys.items():
-        if bit not in (0, 1):
-            raise ValueError(f"key bit for edge {e} must be 0 or 1")
-    return _xor_round(graph, sender, d, [int(keys[e]) for e in edges])
 
 
 def prepare_rotated_states(n: int) -> list[GhzPhaseState]:
@@ -610,14 +587,17 @@ def anonymous_key_exchange(
 ) -> tuple[list[int], list[int], Transcript]:
     """Grow a shared key between two nodes out of anonymous broadcasts.
 
-    For each of `key_len` indices both nodes announce one private random
-    bit through anon_send.  Indices where the announced bits are equal
-    are discarded; where they differ, the key bit is the value node_i
-    announced (node_j knows which announcement was not their own, so
-    both reconstruct the same bit while outsiders cannot attribute
-    either announcement).  Expect about half the indices to survive.
+    Slot choice after Alpern & Schneider, "Key exchange using 'keyless
+    cryptography'", IPL 16 (1983).  Each of `key_len` indices has two
+    anon_multiparty_parity slots, and each node flips in the one slot it
+    picks at random.  Parities (1, 1) mean the nodes picked different
+    slots: the index is kept and its key bit is node_i's slot, which
+    node_j knows as the slot it did not pick.  Parities (0, 0) mean they
+    picked the same slot, and the index is discarded.  Either way the
+    transcript shows only whether the index was kept, never the key bit.
+    Expect about half the indices to survive.
 
-    `bits_i`/`bits_j` override the private bit draws, for tests.
+    `bits_i`/`bits_j` override the slot choices, for tests.
     """
     _validate_group(n)
     if node_i == node_j:
@@ -634,13 +614,15 @@ def anonymous_key_exchange(
     key_i: list[int] = []
     key_j: list[int] = []
     for idx in range(key_len):
-        bi = _validate_bit(bits_i[idx]) if bits_i is not None else rng.bit()
-        bj = _validate_bit(bits_j[idx]) if bits_j is not None else rng.bit()
-        announced_i, t_i, _ = anon_send(n, node_i, bi, rng)
-        announced_j, t_j, _ = anon_send(n, node_j, bj, rng)
-        transcript.extend(t_i)
-        transcript.extend(t_j)
-        if announced_i != announced_j:
-            key_i.append(announced_i)
-            key_j.append(announced_i)
+        slot_i = _validate_bit(bits_i[idx]) if bits_i is not None else rng.bit()
+        slot_j = _validate_bit(bits_j[idx]) if bits_j is not None else rng.bit()
+        parities = []
+        for slot in (0, 1):
+            flippers = [p for p, s in ((node_i, slot_i), (node_j, slot_j)) if s == slot]
+            parity, slot_transcript, _ = anon_multiparty_parity(n, flippers, rng)
+            transcript.extend(slot_transcript)
+            parities.append(parity)
+        if parities == [1, 1]:
+            key_i.append(slot_i)
+            key_j.append(1 - slot_j)
     return key_i, key_j, transcript

@@ -31,7 +31,7 @@ from anonsim.protocols import (
     anon_send,
     anonq_send,
     collision_detect,
-    dcnet_announce,
+    dcnet_send,
     decompose_k,
 )
 from anonsim.qsim import (
@@ -49,6 +49,16 @@ from anonsim.qsim import (
 from anonsim.rng import RngStream, derive_stream_id
 
 SEED = 2026
+
+
+class _KeyBits:
+    """Stands in for an RngStream: hands out chosen key bits in turn."""
+
+    def __init__(self, bits):
+        self._bits = iter(bits)
+
+    def bit(self) -> int:
+        return next(self._bits)
 
 
 @contextmanager
@@ -165,16 +175,13 @@ def test_07_xor_network_trace_attack():
     with criterion(7, "randomness hijack traces the XOR network"):
         for n in (3, 4, 5):
             graph = KeySharingGraph.complete(n)
-            edges = sorted(graph.edges)
-            for mask in range(1 << len(edges)):
-                keys = {e: (mask >> i) & 1 for i, e in enumerate(edges)}
+            edges = len(graph.edges)
+            for mask in range(1 << edges):
                 for sender in range(n):
-                    run = dcnet_announce(graph, keys, sender, 1)
-                    ann = [int(e.bits) for e in run.transcript.rounds[0]]
-                    assert trace_attack(graph, keys, ann, 1) == sender
-                    run = dcnet_announce(graph, keys, sender, 0)
-                    ann = [int(e.bits) for e in run.transcript.rounds[0]]
-                    assert trace_attack(graph, keys, ann, 0) is None
+                    for d, traced in ((1, sender), (0, None)):
+                        keys = _KeyBits((mask >> i) & 1 for i in range(edges))
+                        run = dcnet_send(graph, sender, d, keys)
+                        assert trace_attack(run, d) == traced
 
 
 def test_08_key_graph_bounds():

@@ -16,8 +16,12 @@ from anonsim.anonymity import (
     PROTOCOLS,
     AdversaryView,
     Roles,
+    _ae_outcomes,
+    _anon_outcomes,
+    _anonq_outcomes,
     _bayes_posterior_max,
     _cast,
+    _exact_view_dists,
     _redact,
     adversary_view,
     anonymity_verdict,
@@ -26,19 +30,61 @@ from anonsim.anonymity import (
     trace_attack,
     traceless_verdict,
 )
-from anonsim.keygraph import KeySharingGraph
-from anonsim.protocols import anon_send, dcnet_announce, dcnet_send
+from anonsim.keygraph import KeySharingGraph, is_connected, tolerance
+from anonsim.protocols import anon_send, dcnet_send, xor_pass
 from anonsim.rng import RngStream
 from anonsim.sampling import SAMPLERS, view_counts
 
 
-def _keys_for(graph: KeySharingGraph, mask: int) -> dict:
-    edges = sorted(graph.edges)
-    return {e: (mask >> i) & 1 for i, e in enumerate(edges)}
+class _KeyBits:
+    """Stands in for an RngStream: hands out chosen key bits in turn."""
+
+    def __init__(self, bits):
+        self._bits = iter(bits)
+
+    def bit(self) -> int:
+        return next(self._bits)
+
+
+def _keyed_runs(graph: KeySharingGraph, sender: int, d: int):
+    """dcnet_send under every key assignment, keys in sorted-edge order."""
+    edges = len(graph.edges)
+    for mask in range(1 << edges):
+        yield dcnet_send(graph, sender, d, _KeyBits((mask >> i) & 1 for i in range(edges)))
 
 
 def _announcements(run) -> list[int]:
     return [int(e.bits) for e in run.transcript.rounds[0]]
+
+
+def _dcnet_outcomes(r: Roles):
+    """Oracle: every one of the 2^|E| key assignments of one XOR-network
+    round, as (broadcast rounds, each player's draws, probability)."""
+    n = r.n
+    edges = sorted(r.graph.edges)
+    table = [((p, "0"), (p, "1")) for p in range(n)]
+    prob = Fraction(1, 1 << len(edges))
+    for key_bits in itertools.product((0, 1), repeat=len(edges)):
+        announced, incident = xor_pass(n, edges, key_bits)
+        announced[r.sender] ^= r.d
+        yield (tuple(table[p][b] for p, b in enumerate(announced)),), incident, prob
+
+
+OUTCOMES = {
+    "anon": _anon_outcomes,
+    "ae": _ae_outcomes,
+    "anonq": _anonq_outcomes,
+    "dcnet": _dcnet_outcomes,
+}
+
+
+def _connected_graphs(n: int):
+    """Every connected labelled graph on n nodes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = KeySharingGraph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        if is_connected(g):
+            yield g
 
 
 # -------------------------------------------------------------------- dcnet
@@ -47,12 +93,9 @@ def _announcements(run) -> list[int]:
 def test_dcnet_decodes_exhaustively():
     for n in (3, 4, 5):
         graph = KeySharingGraph.complete(n)
-        edges = sorted(graph.edges)
-        for mask in range(1 << len(edges)):
-            keys = _keys_for(graph, mask)
-            for sender in range(n):
-                for d in (0, 1):
-                    run = dcnet_announce(graph, keys, sender, d)
+        for sender in range(n):
+            for d in (0, 1):
+                for run in _keyed_runs(graph, sender, d):
                     assert run.output == d
                     assert len(_announcements(run)) == n
 
@@ -66,8 +109,8 @@ def test_dcnet_cycle_graph_also_decodes():
 
 def test_dcnet_record_ledger_holds_incident_keys():
     graph = KeySharingGraph.complete(3)
-    keys = {(0, 1): 1, (0, 2): 0, (1, 2): 1}
-    decoded, transcript, ledger = dcnet_announce(graph, keys, 0, 1)
+    # keys (0,1)=1, (0,2)=0, (1,2)=1 in sorted-edge order
+    decoded, transcript, ledger = dcnet_send(graph, 0, 1, _KeyBits((1, 0, 1)))
     assert decoded == 1
     assert [e.player for e in transcript.rounds[0]] == [0, 1, 2]
     assert ledger.values(0) == (1, 0)  # keys (0,1) then (0,2)
@@ -79,18 +122,7 @@ def test_dcnet_record_ledger_holds_incident_keys():
 
 def test_dcnet_instance_validation():
     graph = KeySharingGraph.complete(3)
-    good = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
-    with pytest.raises(ValueError):
-        dcnet_announce(graph, {(0, 1): 0}, 0, 1)
-    with pytest.raises(ValueError):
-        dcnet_announce(graph, {**good, (0, 1): 2}, 0, 1)
-    with pytest.raises(ValueError):
-        dcnet_announce(graph, good, 5, 1)
-    with pytest.raises(ValueError):
-        dcnet_announce(graph, good, 0, 2)
     disconnected = KeySharingGraph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        dcnet_announce(disconnected, {(0, 1): 0, (2, 3): 0}, 0, 1)
     rng = RngStream(0)
     for bad in ((graph, 5, 1), (graph, 0, 2), (disconnected, 0, 1)):
         with pytest.raises(ValueError):
@@ -100,23 +132,71 @@ def test_dcnet_instance_validation():
 def test_trace_attack_identifies_sender_of_one_exhaustively():
     for n in (3, 4):
         graph = KeySharingGraph.complete(n)
-        edges = sorted(graph.edges)
-        for mask in range(1 << len(edges)):
-            keys = _keys_for(graph, mask)
-            for sender in range(n):
-                ann = _announcements(dcnet_announce(graph, keys, sender, 1))
-                assert trace_attack(graph, keys, ann, 1) == sender
-                ann0 = _announcements(dcnet_announce(graph, keys, sender, 0))
-                assert trace_attack(graph, keys, ann0, 0) is None
+        for sender in range(n):
+            for run in _keyed_runs(graph, sender, 1):
+                assert trace_attack(run, 1) == sender
+            for run in _keyed_runs(graph, sender, 0):
+                assert trace_attack(run, 0) is None
 
 
 def test_trace_attack_validates_announcement_length():
-    graph = KeySharingGraph.complete(3)
-    keys = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+    # the announcements come from the run's own transcript, so only the
+    # data bit is left to check
+    run = dcnet_send(KeySharingGraph.complete(3), 0, 1, RngStream(0))
     with pytest.raises(ValueError):
-        trace_attack(graph, keys, (0, 1), 1)
-    with pytest.raises(ValueError):
-        trace_attack(graph, keys, (0, 1, 0), 2)
+        trace_attack(run, 2)
+
+
+def _closed_form_and_oracle(graph, colluders, d, hijack):
+    n = graph.num_nodes
+    candidates = [p for p in range(n) if p not in colluders]
+    watchers = tuple(range(n)) if hijack else tuple(colluders)
+    cast = _cast(n, candidates, "sender", d, graph)
+    oracle = _bayes_posterior_max(_exact_view_dists(_dcnet_outcomes, cast, watchers))
+    return PROTOCOLS["dcnet"].exact(cast, watchers), oracle
+
+
+def test_dcnet_closed_form_matches_enumeration():
+    checked = 0
+    for n in (2, 3, 4):
+        for graph in _connected_graphs(n):
+            for t in range(n - 1):
+                for colluders in itertools.combinations(range(n), t):
+                    for d, hijack in itertools.product((0, 1), (False, True)):
+                        closed, oracle = _closed_form_and_oracle(graph, colluders, d, hijack)
+                        assert closed == oracle, (sorted(graph.edges), colluders, d, hijack)
+                        checked += 1
+    assert checked == 1740
+
+
+def test_dcnet_closed_form_matches_enumeration_on_random_graphs():
+    gen = np.random.default_rng(9)
+    for _ in range(12):
+        n = int(gen.integers(5, 7))
+        # a random tree keeps the graph connected, four more edges shape it
+        tree = [(int(gen.integers(0, v)), v) for v in range(1, n)]
+        pairs = list(itertools.combinations(range(n), 2))
+        extra = [pairs[i] for i in gen.choice(len(pairs), size=4, replace=False)]
+        graph = KeySharingGraph.from_edges(n, tree + extra)
+        t = int(gen.integers(0, n - 1))
+        colluders = tuple(sorted(int(p) for p in gen.choice(n, size=t, replace=False)))
+        for d, hijack in itertools.product((0, 1), (False, True)):
+            closed, oracle = _closed_form_and_oracle(graph, colluders, d, hijack)
+            assert closed == oracle, (sorted(graph.edges), colluders, d, hijack)
+
+
+def test_dcnet_exact_verdict_passes_iff_t_within_tolerance():
+    # every t-set of colluders leaves the sender at the baseline exactly
+    # when no t-set partitions the honest players
+    for n in (3, 4, 5):
+        for graph in _connected_graphs(n):
+            tol = tolerance(graph)
+            for t in range(n - 1):
+                passes = all(
+                    anonymity_verdict("dcnet", n, colluders=colluders, graph=graph).verdict
+                    for colluders in itertools.combinations(range(n), t)
+                )
+                assert passes == (t <= tol), (sorted(graph.edges), t)
 
 
 # ------------------------------------------------------ exact distributions
@@ -280,10 +360,11 @@ def test_dcnet_plain_collusion_free_is_anonymous():
 
 
 def test_dcnet_full_hijack_traces_the_sender():
-    graph = KeySharingGraph.complete(4)
-    v = traceless_verdict("dcnet", 4, graph=graph)
-    assert not v.verdict
-    assert v.posterior_max == Fraction(1)
+    # complete:20 has 190 keys, far past enumerating key assignments
+    for n in (4, 20):
+        v = traceless_verdict("dcnet", n, graph=KeySharingGraph.complete(n))
+        assert not v.verdict
+        assert v.posterior_max == Fraction(1)
 
 
 def test_dcnet_star_center_colluder_traces_the_sender():
@@ -405,7 +486,7 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     everyone = tuple(range(n))
     exact = {
         _redact(rounds, draws.__getitem__, everyone): prob
-        for rounds, draws, prob in spec.outcomes(roles)
+        for rounds, draws, prob in OUTCOMES[protocol](roles)
     }
     assert sum(exact.values()) == 1
     rng = RngStream(5)

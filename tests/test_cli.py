@@ -547,6 +547,15 @@ def test_sweep_graphs_csv(tmp_path, capsys):
     assert by_mask[0][tol_col] == "-1"  # empty graph
 
 
+@pytest.mark.parametrize("nodes", ["1", "-2", "7"])
+def test_sweep_graphs_bad_node_count_is_config_error(tmp_path, capsys, nodes):
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = _run(
+        capsys, "sweep", "graphs", "--nodes", nodes, "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+
+
 def test_sweep_reproducible_bytes(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -54,6 +54,8 @@ CASES = {
     "exact_dcnet_traceless": "verdict --protocol dcnet --n 4 --graph complete:4 --traceless",
     "exact_dcnet_cycle_traceless_d0":
         "verdict --protocol dcnet --n 5 --graph cycle:5 --traceless --d 0",
+    # 190 keys, far past any enumeration of key assignments
+    "exact_dcnet_complete20_t3": "verdict --protocol dcnet --n 20 --graph complete:20 --t 3",
     # seeded sampled verdicts
     "sampled_anon_traceless":
         "verdict --protocol anon --n 4 --traceless --mode sampled --trials 300 --seed 3",

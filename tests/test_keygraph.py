@@ -13,6 +13,7 @@ import pytest
 
 from anonsim.keygraph import (
     KeySharingGraph,
+    components,
     from_adjacency_json,
     from_edge_list_text,
     is_connected,
@@ -98,6 +99,30 @@ def test_is_connected_basics():
     assert not is_connected(path, nodes=(0, 2))
     assert is_connected(path, nodes=(3,))
     assert is_connected(path, nodes=())
+
+
+def test_components_examples():
+    path = KeySharingGraph.path(5)
+    assert components(path) == [[0, 1, 2, 3, 4]]
+    assert components(path, (4, 0, 3, 1)) == [[0, 1], [3, 4]]
+    assert components(path, ()) == []
+    split = KeySharingGraph.from_edges(5, [(3, 1), (4, 2)])
+    assert components(split) == [[0], [1, 3], [2, 4]]
+
+
+def test_components_match_networkx():
+    import networkx as nx
+
+    for n in range(2, 6):
+        for g in _all_graphs(n):
+            reference = nx.Graph(list(g.edges))
+            reference.add_nodes_from(range(n))
+            for size in range(n + 1):
+                for nodes in itertools.combinations(range(n), size):
+                    expected = sorted(
+                        sorted(c) for c in nx.connected_components(reference.subgraph(nodes))
+                    )
+                    assert components(g, nodes) == expected
 
 
 def test_partitioning_set_examples():

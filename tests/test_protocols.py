@@ -449,24 +449,31 @@ def test_key_exchange_forced_agreement_yields_nothing():
     assert len(transcript.rounds) == 8
 
 
+def _slot_parities(transcript, key_len):
+    return [
+        (transcript.round_parity(2 * k), transcript.round_parity(2 * k + 1))
+        for k in range(key_len)
+    ]
+
+
 def test_key_exchange_random_bits_agree():
     rng = RngStream(131)
     for _ in range(10):
         key_i, key_j, transcript = anonymous_key_exchange(4, 0, 3, 12, rng)
         assert key_i == key_j
-        kept = sum(
-            1
-            for k in range(12)
-            if transcript.round_parity(2 * k) != transcript.round_parity(2 * k + 1)
-        )
-        assert len(key_i) == kept
-        # each surviving bit is the first announcement of its index pair
-        survivors = [
-            transcript.round_parity(2 * k)
-            for k in range(12)
-            if transcript.round_parity(2 * k) != transcript.round_parity(2 * k + 1)
-        ]
-        assert key_i == survivors
+        # every kept index shows (1, 1) and every discarded one (0, 0), so
+        # the transcript tells which indices were kept and nothing more
+        parities = _slot_parities(transcript, 12)
+        assert set(parities) <= {(1, 1), (0, 0)}
+        assert len(key_i) == parities.count((1, 1))
+
+
+def test_key_exchange_transcript_hides_the_key():
+    key_i, key_j, transcript = anonymous_key_exchange(6, 1, 4, 64, RngStream(3))
+    assert key_i == key_j
+    assert 0 < sum(key_i) < len(key_i)
+    kept = [p for p in _slot_parities(transcript, 64) if p != (0, 0)]
+    assert kept == [(1, 1)] * len(key_i)
 
 
 def test_key_exchange_rejects_bad_arguments():
