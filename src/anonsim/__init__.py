@@ -1,7 +1,9 @@
 """Simulator and analysis toolkit for anonymous transmission over GHZ states.
 
 The names below are loaded on first use (PEP 562), so `import anonsim`
-costs nothing and a command loads only the modules it runs.
+costs nothing and a command loads only the modules it runs.  The dense
+backend's names (`anonsim.dense`) load numpy, so `from anonsim import *`
+leaves them out; import them by name.
 """
 
 from importlib import import_module
@@ -18,6 +20,20 @@ _EXPORTS = {
         "trace_attack",
         "traceless_verdict",
         "tv_distance",
+    ),
+    "dense": (
+        "DENSE_QUBIT_LIMIT",
+        "DenseState",
+        "bell_measure",
+        "bell_outcome_cdf",
+        "dense_apply_gate",
+        "dense_measure",
+        "fidelity",
+        "from_dense",
+        "ghz_dense",
+        "outcome_distribution",
+        "tensor",
+        "to_dense",
     ),
     "keygraph": (
         "KeySharingGraph",
@@ -50,32 +66,23 @@ _EXPORTS = {
         "prepare_rotated_states",
     ),
     "qsim": (
-        "DENSE_QUBIT_LIMIT",
-        "DenseState",
         "GhzPhaseState",
         "MeasurementRecord",
         "ResidualPair",
         "apply_phase_flip",
         "apply_rz",
-        "bell_measure",
-        "bell_outcome_cdf",
-        "dense_apply_gate",
-        "dense_measure",
-        "fidelity",
-        "ghz_dense",
+        "epr_fidelity",
         "hadamard_measure_all",
         "hadamard_measure_subset",
         "make_ghz",
-        "outcome_distribution",
         "parity_odd_probability",
-        "tensor",
     ),
     "rng": ("RngStream", "derive_stream_id"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted(name for name, module in _MODULE_OF.items() if module != "dense")
 
 
 def __getattr__(name: str):

@@ -38,7 +38,6 @@ plus one byte per view bit of each trial.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -68,8 +67,7 @@ DEFAULT_SAMPLED_TRIALS = 10_000
 DEFAULT_TV_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
-class AdversaryView:
+class AdversaryView(NamedTuple):
     """What an adversary gets to see of one run.
 
     `messages` mirrors the transcript rounds; `randomness` lists, for
@@ -353,8 +351,7 @@ def tv_distance(p: Mapping, q: Mapping):
     return total / 2
 
 
-@dataclass(frozen=True)
-class AnonymityVerdict:
+class AnonymityVerdict(NamedTuple):
     """Outcome of one anonymity measurement.
 
     `posterior_max` is the largest posterior the Bayes-optimal adversary
@@ -378,7 +375,7 @@ class AnonymityVerdict:
     max_tv: Optional[float] = None
 
     def to_json(self) -> dict:
-        payload = asdict(self)
+        payload = self._asdict()
         for name in ("posterior_max", "baseline", "max_tv"):
             if payload[name] is not None:
                 payload[name] = float(payload[name])

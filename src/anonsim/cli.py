@@ -47,13 +47,16 @@ def _parse_ids(text: Optional[str]) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
-def _parse_span(text: str) -> tuple[int, int]:
-    """'2:16' -> (2, 16); a single number spans itself."""
+def _parse_span(text: str, minimum: int) -> tuple[int, int]:
+    """'2:16' -> (2, 16); a single number spans itself.  The span must
+    not be empty or start below `minimum`."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+        lo, hi = (int(part) for part in text.split(":", 1))
+    else:
+        lo = hi = int(text)
+    if not minimum <= lo <= hi:
+        raise ValueError(f"--n {text}: need {minimum} <= lo <= hi")
+    return lo, hi
 
 
 def _parse_graph(spec: str) -> keygraph.KeySharingGraph:
@@ -137,17 +140,17 @@ def cmd_ae(args) -> int:
         return _record_run(
             args, "ae", args.n, run, {"aborted": True}, config, [("aborted", True)]
         )
-    epr_fidelity = qsim.fidelity(pair.to_dense(), qsim.ghz_dense(2))
+    fidelity = qsim.epr_fidelity(pair)
     verdicts = {
         "phase_numerator": pair.phase_numerator,
         "phase_denom_exp": pair.phase_denom_exp,
-        "fidelity_with_epr": epr_fidelity,
+        "fidelity_with_epr": fidelity,
         "aborted": False,
     }
     return _record_run(
         args, "ae", args.n, run, verdicts, config,
         [("phase_numerator", pair.phase_numerator),
-         ("fidelity", f"{epr_fidelity:.12f}")],
+         ("fidelity", f"{fidelity:.12f}")],
     )
 
 
@@ -174,7 +177,7 @@ def _parse_qubit(alpha_text: str, beta_text: str) -> tuple[complex, complex]:
 
 
 def cmd_anonq(args) -> int:
-    import numpy as np
+    from .dense import DenseState, fidelity
 
     rng = RngStream(args.seed, args.stream_id)
     qubit = _parse_qubit(args.alpha, args.beta)
@@ -184,8 +187,7 @@ def cmd_anonq(args) -> int:
         return _record_run(
             args, "anonq", args.n, run, {"aborted": True}, config, [("aborted", True)]
         )
-    sent = np.array(qubit, dtype=complex)
-    transfer_fidelity = float(abs(np.vdot(sent, run.output)) ** 2)
+    transfer_fidelity = fidelity(DenseState(1, qubit), DenseState(1, run.output))
     return _record_run(
         args, "anonq", args.n, run,
         {"fidelity": transfer_fidelity, "aborted": False},
@@ -296,7 +298,7 @@ def cmd_verdict(args) -> int:
 
 
 def _sweep_collision(args) -> tuple[list[str], list[list]]:
-    lo, hi = _parse_span(args.n)
+    lo, hi = _parse_span(args.n, 2)
     header = [
         "n", "k", "verdict", "first_odd_round", "predicted_first_odd",
         "rounds_used", "parities", "match", "error",
@@ -333,8 +335,10 @@ def _sweep_collision(args) -> tuple[list[str], list[list]]:
 
 
 def _sweep_anon(args) -> tuple[list[str], list[list]]:
-    lo, hi = _parse_span(args.n)
+    lo, hi = _parse_span(args.n, 3)
     d_values = _parse_ids(args.d) or [0, 1]
+    if not set(d_values) <= {0, 1}:
+        raise ValueError(f"--d {args.d}: data bits must be 0 or 1")
     header = ["n", "sender", "d", "decoded", "ok", "error"]
     rows = []
     for n in range(lo, hi + 1):

@@ -15,30 +15,33 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 GRAPH_SEARCH_NODE_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class KeySharingGraph:
+class _GraphFields(NamedTuple):
+    num_nodes: int
+    edges: frozenset[tuple[int, int]]
+
+
+class KeySharingGraph(_GraphFields):
     """Undirected simple graph with nodes 0..num_nodes-1.
 
     Edges are stored as (i, j) pairs with i < j.
     """
 
-    num_nodes: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.num_nodes}")
-        for e in self.edges:
+    def __new__(cls, num_nodes: int, edges: frozenset[tuple[int, int]]):
+        if num_nodes < 2:
+            raise ValueError(f"need at least 2 nodes, got {num_nodes}")
+        for e in edges:
             i, j = e
-            if not (0 <= i < j < self.num_nodes):
-                raise ValueError(f"bad edge {e} for {self.num_nodes} nodes")
+            if not (0 <= i < j < num_nodes):
+                raise ValueError(f"bad edge {e} for {num_nodes} nodes")
+        return super().__new__(cls, num_nodes, edges)
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges: Iterable[tuple[int, int]]) -> "KeySharingGraph":

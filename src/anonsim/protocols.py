@@ -17,22 +17,17 @@ they are the secrets whose leakage the analysis layer checks for.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, is_connected
 from .qsim import (
-    DenseState,
     GhzPhaseState,
     apply_phase_flip,
     apply_rz,
-    bell_measure,
-    dense_apply_gate,
     hadamard_measure_all,
     hadamard_measure_subset,
     make_ghz,
-    tensor,
 )
 from .rng import RngStream
 
@@ -296,16 +291,17 @@ def anonq_send(
     with two anonymous broadcasts.  The receiver applies Z^m0 then X^m1.
     The output is the received amplitudes, None if any stage aborted.
     """
-    import numpy as np
+    from .dense import (
+        PAULI_X,
+        PAULI_Z,
+        DenseState,
+        bell_measure,
+        dense_apply_gate,
+        tensor,
+        to_dense,
+    )
 
-    from .qsim import PAULI_X, PAULI_Z
-
-    amps = np.asarray(qubit, dtype=complex).reshape(-1)
-    if amps.size != 2:
-        raise ValueError("qubit must be a pair of amplitudes")
-    if abs(float(np.linalg.norm(amps)) - 1.0) > 1e-9:
-        raise ValueError("qubit amplitudes must be normalized")
-
+    sent = DenseState(1, qubit)
     pair, transcript, ledger = ae_establish(
         n, sender, receiver, rng, withholders=withholders
     )
@@ -314,7 +310,7 @@ def anonq_send(
         return Run(None, transcript, ledger)
 
     # Qubit 0: input.  Qubit 1: sender's pair half.  Qubit 2: receiver's.
-    combined = tensor(DenseState(1, amps), pair.to_dense())
+    combined = tensor(sent, to_dense(pair))
     m0, m1, post = bell_measure(combined, 0, 1, rng)
 
     decoded0, t0, l0 = anon_send(n, sender, m0, rng)
@@ -330,10 +326,7 @@ def anonq_send(
     if decoded1 == 1:
         corrected = dense_apply_gate(corrected, PAULI_X, (2,))
     base = m0 | (m1 << 1)
-    received = np.array(
-        [corrected.amplitudes[base], corrected.amplitudes[base | 4]], dtype=complex
-    )
-    return Run(received, transcript, ledger)
+    return Run(corrected.amplitudes[[base, base | 4]], transcript, ledger)
 
 
 def xor_pass(
@@ -431,8 +424,7 @@ class CollisionOutcome(enum.Enum):
     NOT_EXACTLY_ONE = "not_exactly_one"
 
 
-@dataclass(frozen=True)
-class CollisionVerdict:
+class CollisionVerdict(NamedTuple):
     """Result of one collision-detection run.
 
     `parities` holds the broadcast parity of each executed round; the
@@ -491,8 +483,7 @@ def collision_detect(
     return CollisionVerdict(tuple(parities), verdict, first_odd)
 
 
-@dataclass(frozen=True)
-class AlohaSchedule:
+class AlohaSchedule(NamedTuple):
     """Outcome of slotted-retransmission scheduling over collision detection."""
 
     rounds: tuple[frozenset[int], ...]

@@ -16,8 +16,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .anonymity import _ANONQ_QUBIT, Roles
+from .dense import DenseState, bell_outcome_cdf, tensor, to_dense
 from .protocols import _validate_bit, _validate_group, xor_pass
-from .qsim import DenseState, bell_outcome_cdf, make_ghz, tensor
+from .qsim import make_ghz
 from .rng import RngStream
 
 # The samplers below turn blocks of draws from RngStream.draw_blocks
@@ -90,7 +91,7 @@ def _anonq_sample(
     _validate_group(n)
     columns = _ae_columns(r)
     # the pair left by ae_establish always has phase 0
-    bell_in = tensor(DenseState(1, _ANONQ_QUBIT), make_ghz(2).to_dense())
+    bell_in = tensor(DenseState(1, _ANONQ_QUBIT), to_dense(make_ghz(2)))
     cdf = bell_outcome_cdf(bell_in, 0, 1)
 
     def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,18 +34,17 @@ from anonsim.protocols import (
     dcnet_send,
     decompose_k,
 )
-from anonsim.qsim import (
+from anonsim.dense import (
+    PAULI_Z,
     apply_hadamard_all,
-    apply_phase_flip,
-    apply_rz,
     dense_apply_gate,
     fidelity,
     ghz_dense,
-    make_ghz,
     outcome_distribution,
     rz_gate,
-    PAULI_Z,
+    to_dense,
 )
+from anonsim.qsim import apply_phase_flip, apply_rz, make_ghz
 from anonsim.rng import RngStream, derive_stream_id
 
 SEED = 2026
@@ -113,7 +112,7 @@ def test_03_entanglement_protocol_correctness():
                     pair, transcript, _ = ae_establish(n, sender, receiver, rng)
                     assert not transcript.aborted
                     assert pair.phase_numerator == 0
-                    assert fidelity(pair.to_dense(), epr) >= 1.0 - 1e-12
+                    assert fidelity(to_dense(pair), epr) >= 1.0 - 1e-12
 
 
 def test_04_qubit_transfer_fidelity():

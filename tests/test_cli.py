@@ -556,6 +556,29 @@ def test_sweep_graphs_bad_node_count_is_config_error(tmp_path, capsys, nodes):
     _assert_config_error(code, stdout, stderr, out)
 
 
+@pytest.mark.parametrize(
+    "family,flags",
+    [
+        ("anon", ["--n", "1:2"]),  # below anon's 3 players
+        ("anon", ["--n", "5:3"]),  # empty span
+        ("collision", ["--n", "0:1"]),  # below collision detection's 2 players
+        ("anon", ["--n", "3:3", "--d", "2"]),  # not a bit
+    ],
+)
+def test_sweep_bad_span_or_bit_is_config_error(tmp_path, capsys, family, flags):
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = _run(capsys, "sweep", family, *flags, "--out", str(out))
+    _assert_config_error(code, stdout, stderr, out)
+
+
+def test_sweep_spans_at_the_minimum_group_run(tmp_path, capsys):
+    for family, span in (("anon", "3"), ("collision", "2:2")):
+        out = tmp_path / f"{family}.csv"
+        code, stdout, _ = _run(capsys, "sweep", family, "--n", span, "--out", str(out))
+        assert code == EXIT_OK
+        assert "failures=0" in stdout
+
+
 def test_sweep_reproducible_bytes(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

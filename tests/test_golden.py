@@ -99,10 +99,10 @@ def test_golden_output(name, tmp_path):
     assert summary == _summaries()[name]
 
 
-# The cases that need numpy: amplitude arrays (the fidelities of ae and
-# anonq) and batched sampling.  Every other case stays on the GHZ phase
-# manifold and runs without it.
-NUMPY_CASES = {"ae", "anonq"} | {name for name in CASES if name.startswith("sampled_")}
+# The cases that need numpy: amplitude arrays (the qubit transfer's
+# teleportation and fidelity) and batched sampling.  Every other case
+# stays on the GHZ phase manifold and runs without it.
+NUMPY_CASES = {"anonq"} | {name for name in CASES if name.startswith("sampled_")}
 
 # Runs the cases named in argv[1] (name -> argv) with numpy unimportable
 # and prints, for each, '<exit code> <summary line>' or "needs numpy".

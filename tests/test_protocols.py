@@ -21,13 +21,14 @@ from anonsim.protocols import (
     elect_sender_receiver,
     prepare_rotated_states,
 )
-from anonsim.qsim import (
+from anonsim.dense import (
     HADAMARD,
     PAULI_Z,
     DenseState,
     dense_apply_gate,
     fidelity,
     ghz_dense,
+    to_dense,
 )
 from anonsim.rng import RngStream
 
@@ -180,7 +181,7 @@ def test_ae_residual_matches_dense_replay():
         if coin ^ parity:
             residual = dense_apply_gate(residual, PAULI_Z, (1,))
         assert fidelity(residual, ghz_dense(2)) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(pair.to_dense(), ghz_dense(2)) == pytest.approx(
+        assert fidelity(to_dense(pair), ghz_dense(2)) == pytest.approx(
             1.0, abs=1e-12
         )
 

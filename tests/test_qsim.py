@@ -11,28 +11,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonsim.qsim import (
+from anonsim.dense import (
     CNOT,
     HADAMARD,
     PAULI_X,
     PAULI_Z,
     DenseState,
-    GhzPhaseState,
     apply_hadamard_all,
-    apply_phase_flip,
-    apply_rz,
     bell_measure,
     dense_apply_gate,
     dense_measure,
     fidelity,
+    from_dense,
     ghz_dense,
+    outcome_distribution,
+    rz_gate,
+    tensor,
+    to_dense,
+)
+from anonsim.protocols import ae_establish
+from anonsim.qsim import (
+    GhzPhaseState,
+    apply_phase_flip,
+    apply_rz,
+    epr_fidelity,
     hadamard_measure_all,
     hadamard_measure_subset,
     make_ghz,
-    outcome_distribution,
     parity_odd_probability,
-    rz_gate,
-    tensor,
 )
 from anonsim.rng import RngStream
 
@@ -136,14 +142,14 @@ def test_rz_additivity_matches_fraction_arithmetic(n, rotations):
 )
 def test_dense_round_trip_is_identity(n, denom_exp, numerator):
     s = GhzPhaseState(n, numerator, denom_exp)
-    back = GhzPhaseState.from_dense(s.to_dense(), denom_exp)
+    back = from_dense(to_dense(s), denom_exp)
     assert back == s
 
 
 def test_from_dense_rejects_off_manifold_states():
     flat = DenseState(2, np.full(4, 0.5, dtype=complex))
     with pytest.raises(ValueError):
-        GhzPhaseState.from_dense(flat)
+        from_dense(flat)
 
 
 def test_reduced_canonical_form():
@@ -160,7 +166,7 @@ def test_parity_probability_matches_dense_oracle():
     # oracle: full Hadamard transform of the dense state
     for numerator, denom_exp in [(0, 0), (1, 0), (1, 1), (3, 2), (5, 3), (7, 2)]:
         s = GhzPhaseState(4, numerator, denom_exp)
-        dense = apply_hadamard_all(s.to_dense())
+        dense = apply_hadamard_all(to_dense(s))
         probs = dense.probabilities()
         odd = sum(
             p for x, p in enumerate(probs) if bin(x).count("1") % 2 == 1
@@ -180,7 +186,7 @@ def test_outcome_distribution_matches_dense_oracle():
         numerator = int(rng.integers(0, 32))
         denom_exp = int(rng.integers(0, 5))
         s = GhzPhaseState(n, numerator, denom_exp)
-        dense = apply_hadamard_all(s.to_dense())
+        dense = apply_hadamard_all(to_dense(s))
         np.testing.assert_allclose(
             outcome_distribution(s), dense.probabilities(), atol=1e-10
         )
@@ -218,7 +224,7 @@ def test_hadamard_measure_all_uniform_within_parity_class():
 
 def _dense_subset_residual(n, numerator, denom_exp, measured, outcome):
     """Oracle: project the measured qubits after their Hadamards."""
-    state = GhzPhaseState(n, numerator, denom_exp).to_dense()
+    state = to_dense(GhzPhaseState(n, numerator, denom_exp))
     for q in measured:
         state = dense_apply_gate(state, HADAMARD, (q,))
     keep = [q for q in range(n) if q not in measured]
@@ -243,11 +249,11 @@ def test_subset_measurement_matches_dense_oracle():
                 n, numerator, denom_exp, measured, outcome
             )
             assert prob == pytest.approx(1.0 / (1 << (n - 2)), abs=1e-12)
-            expected = GhzPhaseState(
+            expected = to_dense(GhzPhaseState(
                 2,
                 numerator + (sum(outcome) % 2) * (1 << denom_exp),
                 denom_exp,
-            ).to_dense()
+            ))
             overlap = abs(np.vdot(expected.amplitudes, amps)) ** 2
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -322,7 +328,7 @@ def test_dense_measure_collapses_and_renormalizes():
 
 def test_ghz_phase_to_dense_matches_direct_construction():
     s = GhzPhaseState(3, 3, 1)
-    dense = s.to_dense()
+    dense = to_dense(s)
     expected = np.zeros(8, dtype=complex)
     expected[0] = 1 / math.sqrt(2)
     expected[7] = cmath.exp(1j * 3 * math.pi / 2) / math.sqrt(2)
@@ -447,3 +453,22 @@ def test_rng_streams_differ_across_ids():
 
 def test_fidelity_of_equal_states_is_one():
     assert fidelity(ghz_dense(2), ghz_dense(2)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_epr_fidelity_matches_dense_oracle():
+    epr = ghz_dense(2)
+    # phase 0, the only pair ae_establish leaves: the same float
+    for seed in range(5):
+        pair = ae_establish(5, 1, 3, RngStream(seed)).output
+        assert epr_fidelity(pair) == fidelity(to_dense(pair), epr)
+    # every phase k/2^J with J <= 8: the dense inner product may add in
+    # another order, so the two agree to within an ulp or so
+    for denom_exp in range(9):
+        for k in range(2 << denom_exp):
+            pair = GhzPhaseState(2, k, denom_exp)
+            assert abs(epr_fidelity(pair) - fidelity(to_dense(pair), epr)) <= 2.3e-16
+
+
+def test_epr_fidelity_needs_a_pair():
+    with pytest.raises(ValueError, match="needs 2 qubits"):
+        epr_fidelity(make_ghz(3))
