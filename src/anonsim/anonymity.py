@@ -38,6 +38,7 @@ plus one byte per view bit of each trial.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -351,7 +352,8 @@ def tv_distance(p: Mapping, q: Mapping):
     return total / 2
 
 
-class AnonymityVerdict(NamedTuple):
+@dataclass(frozen=True)
+class AnonymityVerdict:
     """Outcome of one anonymity measurement.
 
     `posterior_max` is the largest posterior the Bayes-optimal adversary
@@ -375,7 +377,7 @@ class AnonymityVerdict(NamedTuple):
     max_tv: Optional[float] = None
 
     def to_json(self) -> dict:
-        payload = self._asdict()
+        payload = asdict(self)
         for name in ("posterior_max", "baseline", "max_tv"):
             if payload[name] is not None:
                 payload[name] = float(payload[name])

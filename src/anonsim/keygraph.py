@@ -44,6 +44,11 @@ class KeySharingGraph(_GraphFields):
         return super().__new__(cls, num_nodes, edges)
 
     @classmethod
+    def _make(cls, iterable):
+        """Build through the checks above; `_replace` calls this too."""
+        return cls(*iterable)
+
+    @classmethod
     def from_edges(cls, num_nodes: int, edges: Iterable[tuple[int, int]]) -> "KeySharingGraph":
         normalized = frozenset(
             (min(i, j), max(i, j)) for i, j in edges

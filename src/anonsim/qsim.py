@@ -59,6 +59,11 @@ class GhzPhaseState(_GhzPhaseFields):
         modulus = 2 << phase_denom_exp
         return super().__new__(cls, num_qubits, phase_numerator % modulus, phase_denom_exp)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checks above; `_replace` calls this too."""
+        return cls(*iterable)
+
     @property
     def phase_fraction(self) -> Fraction:
         """Relative phase in units of pi, exact, in [0, 2)."""

@@ -104,12 +104,20 @@ def test_golden_output(name, tmp_path):
 # stays on the GHZ phase manifold and runs without it.
 NUMPY_CASES = {"anonq"} | {name for name in CASES if name.startswith("sampled_")}
 
-# Runs the cases named in argv[1] (name -> argv) with numpy unimportable
-# and prints, for each, '<exit code> <summary line>' or "needs numpy".
+# The cases that import `anonymity` (every verdict, and the XOR network's
+# trace), whose AnonymityVerdict is a dataclass: they load `dataclasses`
+# and the `inspect` it imports, about 10 ms in a cold process.  No other
+# case loads either.
+DATACLASS_CASES = {"dcnet_trace"} | {
+    name for name in CASES if name.startswith(("exact_", "sampled_"))
+}
+
+# Runs the cases named in argv[1] (name -> argv), in that order, with numpy
+# unimportable and prints, for each, '<exit code> <summary line>' or
+# "needs numpy", and which of `dataclasses` and `inspect` are loaded after it.
 _BLOCKED_CHILD = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
-from anonsim import *
 from anonsim.cli import main
 results = {}
 for name, argv in json.loads(sys.argv[1]).items():
@@ -117,18 +125,23 @@ for name, argv in json.loads(sys.argv[1]).items():
     try:
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
-        results[name] = f"{code} {stdout.getvalue().splitlines()[0]}"
+        outcome = f"{code} {stdout.getvalue().splitlines()[0]}"
     except ImportError:
-        results[name] = "needs numpy"
+        outcome = "needs numpy"
+    results[name] = [outcome, sorted({"dataclasses", "inspect"} & set(sys.modules))]
+from anonsim import *
 print(json.dumps(results))
 """
 
 
 def test_phase_manifold_cases_run_without_numpy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
+    # The cases that load dataclasses run last, so each case before them
+    # is seen to load neither module itself.
+    order = sorted(CASES, key=lambda name: (name in DATACLASS_CASES, name))
     argv = {
         name: [*CASES[name].split(), "--out", str(tmp_path / f"{name}{_suffix(name)}")]
-        for name in sorted(CASES)
+        for name in order
     }
     run = subprocess.run(
         [sys.executable, "-c", _BLOCKED_CHILD, json.dumps(argv)],
@@ -137,11 +150,14 @@ def test_phase_manifold_cases_run_without_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
     results = json.loads(run.stdout)
     summaries = _summaries()
-    for name in sorted(CASES):
+    for name in order:
+        outcome, loaded = results[name]
+        if name not in DATACLASS_CASES:
+            assert loaded == [], name
         if name in NUMPY_CASES:
-            assert results[name] == "needs numpy"
+            assert outcome == "needs numpy"
             continue
-        assert results[name] == summaries[name]
+        assert outcome == summaries[name]
         written = tmp_path / f"{name}{_suffix(name)}"
         assert written.read_bytes() == (GOLDEN / written.name).read_bytes()
 

@@ -79,6 +79,8 @@ def test_edges_normalized_and_validated():
         KeySharingGraph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         KeySharingGraph.from_edges(1, [])
+    with pytest.raises(ValueError):
+        g._replace(edges=frozenset({(2, 0)}))
 
 
 def test_with_edge_is_persistent():

@@ -105,6 +105,14 @@ def test_player_out_of_range_rejected():
 def test_tiny_states_rejected():
     with pytest.raises(ValueError):
         GhzPhaseState(1, 0, 0)
+    with pytest.raises(ValueError):
+        GhzPhaseState._make((1, 0, 0))
+
+
+def test_replace_reduces_the_numerator():
+    s = make_ghz(2)._replace(phase_numerator=5)
+    assert s.phase_numerator == 1
+    assert s == GhzPhaseState(2, 5, 0)
 
 
 @given(st.integers(min_value=0, max_value=6))
