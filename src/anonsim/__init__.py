@@ -1,9 +1,9 @@
 """Simulator and analysis toolkit for anonymous transmission over GHZ states.
 
 The names below are loaded on first use (PEP 562), so `import anonsim`
-costs nothing and a command loads only the modules it runs.  The dense
-backend's names (`anonsim.dense`) load numpy, so `from anonsim import *`
-leaves them out; import them by name.
+costs nothing and a command loads only the modules it runs.  None of
+them loads numpy.  The dense state-vector backend, which does, is
+imported from its own module, `anonsim.dense`.
 """
 
 from importlib import import_module
@@ -19,21 +19,6 @@ _EXPORTS = {
         "exact_transcript_distribution",
         "trace_attack",
         "traceless_verdict",
-        "tv_distance",
-    ),
-    "dense": (
-        "DENSE_QUBIT_LIMIT",
-        "DenseState",
-        "bell_measure",
-        "bell_outcome_cdf",
-        "dense_apply_gate",
-        "dense_measure",
-        "fidelity",
-        "from_dense",
-        "ghz_dense",
-        "outcome_distribution",
-        "tensor",
-        "to_dense",
     ),
     "keygraph": (
         "KeySharingGraph",
@@ -46,7 +31,6 @@ _EXPORTS = {
         "vertex_connectivity",
     ),
     "protocols": (
-        "AlohaSchedule",
         "BroadcastEntry",
         "CollisionOutcome",
         "CollisionVerdict",
@@ -54,7 +38,6 @@ _EXPORTS = {
         "Run",
         "Transcript",
         "ae_establish",
-        "aloha_schedule",
         "anon_multiparty_parity",
         "anon_send",
         "anonq_send",
@@ -62,7 +45,6 @@ _EXPORTS = {
         "collision_detect",
         "dcnet_send",
         "decompose_k",
-        "elect_sender_receiver",
         "prepare_rotated_states",
     ),
     "qsim": (
@@ -82,7 +64,7 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(name for name, module in _MODULE_OF.items() if module != "dense")
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -16,13 +16,14 @@ protocols do not have that failure mode: their transcript distributions
 are identical for every candidate.
 
 Every protocol the verdicts judge is registered in PROTOCOLS with its
-run function and its exact posterior, and in `sampling.SAMPLERS` with
-its batched sampler.  Exact mode is rational arithmetic and never loads
-numpy.  For the GHZ protocols it enumerates view distributions, built
-through the one redaction, `_redact`.  For the XOR network it is the
-closed form of Chaum's argument: with d = 1 the adversary learns which
-block of players it cannot split holds the sender, and nothing more;
-the tests check it against enumerating every key assignment.
+run function, its exact posterior and its input check, and in
+`sampling.SAMPLERS` with its batched sampler.  Exact mode is rational
+arithmetic and never loads numpy.  For the GHZ protocols it enumerates
+view distributions, built through the one redaction, `_redact`.  For
+the XOR network it is the closed form of Chaum's argument: with d = 1
+the adversary learns which block of players it cannot split holds the
+sender, and nothing more; the tests check it against enumerating every
+key assignment.
 
 Sampled mode draws all of one candidate's trials at once: the sampler
 lays each trial's view out as one row of bits, a one-to-one image of
@@ -281,6 +282,22 @@ def _anonq_outcomes(r: Roles) -> Iterator[tuple]:
     return _broadcast_outcomes(n, [pair, announce, announce])
 
 
+def _dcnet_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
+    if target != "sender":
+        raise ValueError("the XOR network models sender anonymity only")
+    if graph is None:
+        raise ValueError("dcnet verdict needs a key-sharing graph")
+    if graph.num_nodes != n:
+        raise ValueError(f"graph has {graph.num_nodes} nodes but n={n} was requested")
+    if not is_connected(graph):
+        raise ValueError("key-sharing graph must be connected")
+
+
+def _ghz_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
+    if graph is not None:
+        raise ValueError("a key-sharing graph applies to the dcnet protocol only")
+
+
 def _dcnet_exact(cast: Mapping[int, Roles], watchers: Sequence[int]) -> Fraction:
     """The XOR network's exact posterior in closed form (Chaum, J.
     Cryptology 1(1), 1988).
@@ -307,12 +324,14 @@ class ProtocolSpec(NamedTuple):
     `run(roles, rng)` returns a Run.  `exact(cast, watchers)` is the
     Bayes-optimal posterior maximum when each candidate of `cast` takes
     the target role and the adversary sees every broadcast and the
-    draws of the watched players.  The protocol's batched sampler is
-    `sampling.SAMPLERS[name]`.
+    draws of the watched players.  `check(n, target, graph)` raises
+    ValueError on inputs the protocol cannot judge, before either mode
+    runs.  The protocol's batched sampler is `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
     exact: Callable[[Mapping[int, Roles], Sequence[int]], Fraction]
+    check: Callable[[int, str, Optional[KeySharingGraph]], None]
 
 
 def _enumerated(outcomes: Callable[[Roles], Iterator[tuple]]) -> Callable:
@@ -329,27 +348,26 @@ _ANONQ_QUBIT = (0.6, 0.8)
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
-        lambda r, rng: anon_send(r.n, r.sender, r.d, rng), _enumerated(_anon_outcomes)
+        lambda r, rng: anon_send(r.n, r.sender, r.d, rng),
+        _enumerated(_anon_outcomes),
+        _ghz_check,
     ),
     "ae": ProtocolSpec(
         lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
         _enumerated(_ae_outcomes),
+        _ghz_check,
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
         _enumerated(_anonq_outcomes),
+        _ghz_check,
     ),
     "dcnet": ProtocolSpec(
-        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng), _dcnet_exact
+        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng),
+        _dcnet_exact,
+        _dcnet_check,
     ),
 }
-
-
-def tv_distance(p: Mapping, q: Mapping):
-    """Total variation distance between two distributions given as maps."""
-    keys = set(p) | set(q)
-    total = sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)
-    return total / 2
 
 
 @dataclass(frozen=True)
@@ -468,17 +486,7 @@ def anonymity_verdict(
         raise ValueError(f"unknown protocol: {protocol!r}")
     if target not in ("sender", "receiver"):
         raise ValueError(f"target must be 'sender' or 'receiver', got {target!r}")
-    if protocol == "dcnet":
-        if target != "sender":
-            raise ValueError("the XOR network models sender anonymity only")
-        if graph is None:
-            raise ValueError("dcnet verdict needs a key-sharing graph")
-        if graph.num_nodes != n:
-            raise ValueError(
-                f"graph has {graph.num_nodes} nodes but n={n} was requested"
-            )
-        if not is_connected(graph):
-            raise ValueError("key-sharing graph must be connected")
+    spec.check(n, target, graph)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):

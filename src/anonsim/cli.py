@@ -42,9 +42,14 @@ def _out_path(args, default_name: str) -> str:
 
 
 def _parse_ids(text: Optional[str]) -> list[int]:
+    """'1,2' -> [1, 2].  An id given twice is an error: the runs take
+    sets, and the record would echo a list they did not see."""
     if not text:
         return []
-    return [int(part) for part in text.split(",") if part != ""]
+    ids = [int(part) for part in text.split(",") if part != ""]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{text!r} repeats an id")
+    return ids
 
 
 def _parse_span(text: str, minimum: int) -> tuple[int, int]:
@@ -105,8 +110,10 @@ def _record_run(
 
 def cmd_anon(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
-    withholders = _parse_ids(args.withhold)
     if args.flippers is not None:
+        for flag in ("sender", "d", "withhold", "disruptors"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply in parity mode (--flippers)")
         flippers = _parse_ids(args.flippers)
         run = protocols.anon_multiparty_parity(args.n, flippers, rng)
         return _record_run(
@@ -115,6 +122,7 @@ def cmd_anon(args) -> int:
         )
     if args.sender is None or args.d is None:
         raise ValueError("anon needs --sender and --d (or --flippers for parity mode)")
+    withholders = _parse_ids(args.withhold)
     run = protocols.anon_send(
         args.n, args.sender, args.d, rng,
         withholders=withholders, disruptors=_parse_ids(args.disruptors),

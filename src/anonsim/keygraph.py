@@ -7,8 +7,8 @@ only if the honest remainder stays connected, so the interesting graph
 quantities are: which colluder sets partition the honest players, the
 largest collusion size that no set achieves (the tolerance), the minimum
 degree (a degree-1 node is read directly by its only neighbor), and the
-minimum number of keys needed to reach a given tolerance, which is the
-vertex connectivity minus one.
+minimum number of keys needed to reach a given tolerance, which has a
+closed form for every number of players (`key_lower_bound`).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import json
 from collections import deque
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
-
-GRAPH_SEARCH_NODE_LIMIT = 6
 
 
 class _GraphFields(NamedTuple):
@@ -234,36 +232,18 @@ def tolerance(g: KeySharingGraph) -> int:
 def key_lower_bound(n: int, t: int) -> int:
     """Minimum number of pairwise keys for n players tolerating t colluders.
 
-    Requirements on the key graph: minimum degree 2 and tolerance >= t.
-    t = 0 gives n (a cycle is optimal; fewer edges cannot keep every
-    degree at 2).  t = n-2 gives n(n-1)/2 (only the complete graph has
-    no partitioning set at all).  Intermediate t is answered by
-    exhaustive search over graphs, feasible up to
-    GRAPH_SEARCH_NODE_LIMIT nodes.
+    Requirements on the key graph: minimum degree 2 and tolerance >= t,
+    that is vertex connectivity k = t+1.  A k-connected graph has
+    minimum degree k, so at least ceil(kn/2) edges, and Harary's graphs
+    reach that count for every k < n (Harary, "The maximum connectivity
+    of a graph", PNAS 48, 1962).  The degree-2 floor makes it n for
+    t = 0, where a cycle is optimal.
     """
     if n < 3:
         raise ValueError(f"need at least 3 players, got {n}")
     if not 0 <= t <= n - 2:
         raise ValueError(f"t must be in [0, n-2], got {t}")
-    if t == 0:
-        return n
-    if t == n - 2:
-        return n * (n - 1) // 2
-    if n > GRAPH_SEARCH_NODE_LIMIT:
-        raise ValueError(
-            f"exhaustive graph search supports n <= {GRAPH_SEARCH_NODE_LIMIT}; "
-            "closed forms exist only for t=0 and t=n-2"
-        )
-    pairs = list(combinations(range(n), 2))
-    # tolerance >= t forces vertex connectivity >= t+1, hence min degree
-    # >= t+1 and at least ceil(n*(t+1)/2) edges.
-    start = max(n, (n * (t + 1) + 1) // 2)
-    for m in range(start, len(pairs) + 1):
-        for combo in combinations(pairs, m):
-            g = KeySharingGraph.from_edges(n, combo)
-            if tolerance(g) >= t:
-                return m
-    raise AssertionError("complete graph satisfies every t <= n-2")
+    return max(n, (n * (t + 1) + 1) // 2)
 
 
 def to_adjacency_json(g: KeySharingGraph) -> dict:

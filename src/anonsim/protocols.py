@@ -5,8 +5,8 @@ entanglement between a hidden sender and receiver (ae_establish), qubit
 transfer by teleportation over that entanglement (anonq_send), the
 classical pairwise-key XOR network they are compared against
 (dcnet_send), the rotation-based collision detection used to test for
-exactly one willing sender, and the scheduling and key-exchange
-constructions layered on top.
+exactly one willing sender, and the anonymous key exchange built from
+anonymous broadcasts.
 
 Every run returns a Run: its output value, a Transcript of what was
 broadcast and a RandomnessLedger of the random values each player drew.
@@ -481,89 +481,6 @@ def collision_detect(
         else CollisionOutcome.NOT_EXACTLY_ONE
     )
     return CollisionVerdict(tuple(parities), verdict, first_odd)
-
-
-class AlohaSchedule(NamedTuple):
-    """Outcome of slotted-retransmission scheduling over collision detection."""
-
-    rounds: tuple[frozenset[int], ...]
-    transmitted: dict[int, int]
-    completed: bool
-    backoff_draws: dict[int, tuple[int, ...]]
-
-
-def aloha_schedule(
-    n: int,
-    wishers: Iterable[int],
-    max_backoff: int,
-    rng: RngStream,
-    *,
-    round_cap: int = 1000,
-) -> AlohaSchedule:
-    """Schedule contending senders with random backoff after collisions.
-
-    Every wisher first attempts in round 1.  A round with exactly one
-    attempting wisher (verified by collision_detect) lets that wisher
-    transmit; on a collision each attempting wisher redraws a uniform
-    backoff in [1, max_backoff] and retries that many rounds later.
-    Rounds where nobody attempts are recorded as empty sets.  Gives up
-    (completed=False) past `round_cap` rounds.
-    """
-    if max_backoff < 1:
-        raise ValueError(f"max_backoff must be >= 1, got {max_backoff}")
-    pending = _validate_players(n, "wisher", wishers)
-    next_attempt = {w: 1 for w in pending}
-    rounds: list[frozenset[int]] = []
-    transmitted: dict[int, int] = {}
-    draws: dict[int, list[int]] = {w: [] for w in pending}
-    r = 1
-    while pending and r <= round_cap:
-        active = frozenset(w for w in pending if next_attempt[w] == r)
-        rounds.append(active)
-        if active:
-            verdict = collision_detect(n, active, rng)
-            if verdict.verdict is CollisionOutcome.EXACTLY_ONE:
-                winner = next(iter(active))
-                transmitted[winner] = r
-                pending.discard(winner)
-            else:
-                for w in sorted(active):
-                    delay = rng.integer(1, max_backoff)
-                    draws[w].append(delay)
-                    next_attempt[w] = r + delay
-        r += 1
-    return AlohaSchedule(
-        tuple(rounds),
-        transmitted,
-        completed=not pending,
-        backoff_draws={w: tuple(v) for w, v in draws.items()},
-    )
-
-
-def elect_sender_receiver(
-    n: int,
-    sender_wishers: Iterable[int],
-    receiver_wishers: Iterable[int],
-    rng: RngStream,
-) -> Optional[tuple[int, int]]:
-    """Run collision detection for each role; elect only on a clean pair.
-
-    Returns (sender, receiver) when each role has exactly one wisher and
-    they are distinct players, otherwise None.
-    """
-    senders = set(sender_wishers)
-    receivers = set(receiver_wishers)
-    v_s = collision_detect(n, senders, rng)
-    v_r = collision_detect(n, receivers, rng)
-    if v_s.verdict is not CollisionOutcome.EXACTLY_ONE:
-        return None
-    if v_r.verdict is not CollisionOutcome.EXACTLY_ONE:
-        return None
-    s = next(iter(senders))
-    r = next(iter(receivers))
-    if s == r:
-        return None
-    return s, r
 
 
 def anonymous_key_exchange(

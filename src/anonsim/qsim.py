@@ -90,20 +90,6 @@ class GhzPhaseState(_GhzPhaseFields):
         shift = denom_exp - self.phase_denom_exp
         return GhzPhaseState(self.num_qubits, self.phase_numerator << shift, denom_exp)
 
-    def reduced(self) -> "GhzPhaseState":
-        """Canonical form: smallest denominator exponent for this phase."""
-        k, j = self.phase_numerator, self.phase_denom_exp
-        while j > 0 and k % 2 == 0:
-            k //= 2
-            j -= 1
-        return GhzPhaseState(self.num_qubits, k, j)
-
-    def same_phase(self, other: "GhzPhaseState") -> bool:
-        return (
-            self.num_qubits == other.num_qubits
-            and self.phase_fraction % 2 == other.phase_fraction % 2
-        )
-
 
 def make_ghz(num_qubits: int) -> GhzPhaseState:
     """Fresh shared GHZ state with phase 0."""

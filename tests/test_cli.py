@@ -64,6 +64,20 @@ def test_anon_parity_mode(tmp_path, capsys):
     jsonschema.validate(_load(out), RUN_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "flag", [["--withhold", "1"], ["--disruptors", "1"], ["--sender", "1"], ["--d", "1"]]
+)
+def test_anon_parity_mode_rejects_send_mode_flags(tmp_path, capsys, flag):
+    # parity mode runs anon_multiparty_parity, which takes none of these
+    out = tmp_path / "parity.json"
+    code, stdout, stderr = _run(
+        capsys, "anon", "--n", "4", "--flippers", "0,2", *flag,
+        "--seed", "1", "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert flag[0] in stderr
+
+
 def test_anon_withhold_aborts_with_exit_3(tmp_path, capsys):
     out = tmp_path / "abort.json"
     code, stdout, _ = _run(
@@ -317,6 +331,37 @@ def test_keygraph_audit(tmp_path, capsys):
     assert report["key_lower_bound"] == {"t": 1, "keys": 6}
 
 
+def test_keygraph_bound_has_no_size_limit(tmp_path, capsys):
+    out = tmp_path / "kg.json"
+    code, stdout, _ = _run(
+        capsys, "keygraph", "--graph", "complete:8", "--bound-t", "3", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert "key_lower_bound=16" in stdout
+    assert _load(out)["key_lower_bound"] == {"t": 3, "keys": 16}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "anon --n 4 --sender 0 --d 1 --withhold 2,2 --seed 1",
+        "anon --n 4 --flippers 0,0 --seed 1",
+        "anon --n 4 --sender 0 --d 1 --disruptors 2,2 --seed 1",
+        "ae --n 4 --sender 0 --receiver 1 --withhold 3,3 --seed 1",
+        "collision --n 8 --wishers 1,1,2 --seed 2",
+        "keygraph --graph cycle:6 --colluders 0,3,0",
+        "verdict --protocol anon --n 5 --colluders 4,4",
+        "sweep anon --n 3 --d 1,1",
+    ],
+)
+def test_repeated_id_is_config_error(tmp_path, capsys, argv):
+    # the runs take sets, so a repeat would make the record disagree with the run
+    out = tmp_path / "out.json"
+    code, stdout, stderr = _run(capsys, *argv.split(), "--out", str(out))
+    _assert_config_error(code, stdout, stderr, out)
+    assert "repeats an id" in stderr
+
+
 def test_keygraph_reads_edge_list_file(tmp_path, capsys):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
@@ -386,6 +431,17 @@ def test_verdict_two_players_is_config_error(tmp_path, capsys):
     assert stderr.startswith("error:")
     assert len(stderr.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("protocol", ["anon", "ae", "anonq"])
+def test_verdict_ghz_protocol_rejects_a_graph(tmp_path, capsys, protocol, mode):
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", protocol, "--n", "4", "--graph", "complete:4",
+        "--mode", mode, "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
 
 
 @pytest.mark.parametrize(

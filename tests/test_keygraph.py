@@ -233,17 +233,16 @@ def test_key_lower_bound_intermediate_values():
 
 
 def test_key_lower_bound_witnesses_exist():
-    # the reported minimum is attainable by an actual graph
-    cases = [(4, 1), (5, 2), (6, 2)]
-    for n, t in cases:
-        m = key_lower_bound(n, t)
-        pairs = list(itertools.combinations(range(n), 2))
-        found = any(
-            tolerance(KeySharingGraph.from_edges(n, combo)) >= t
-            and min_degree(KeySharingGraph.from_edges(n, combo)).value >= 2
-            for combo in itertools.combinations(pairs, m)
-        )
-        assert found
+    # oracle: over every graph on n <= 6 nodes, the fewest edges with
+    # minimum degree >= 2 and tolerance >= t; so a witness has exactly
+    # the bound's count and no graph with fewer edges qualifies
+    for n in range(3, 7):
+        fewest = [float("inf")] * (n - 1)
+        for g in _all_graphs(n):
+            if min_degree(g).meets_requirement:
+                for t in range(tolerance(g) + 1):
+                    fewest[t] = min(fewest[t], len(g.edges))
+        assert fewest == [key_lower_bound(n, t) for t in range(n - 1)]
 
 
 def test_key_lower_bound_validation():
@@ -253,8 +252,8 @@ def test_key_lower_bound_validation():
         key_lower_bound(5, 4)
     with pytest.raises(ValueError):
         key_lower_bound(5, -1)
-    with pytest.raises(ValueError, match="n <= 6"):
-        key_lower_bound(8, 2)
+    # no size limit: Harary's bound ceil(3 * 8 / 2)
+    assert key_lower_bound(8, 2) == 12
 
 
 # ----------------------------------------------------------------------- io

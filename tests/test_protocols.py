@@ -10,7 +10,6 @@ import pytest
 
 from anonsim.protocols import (
     CollisionOutcome,
-    aloha_schedule,
     ae_establish,
     anon_multiparty_parity,
     anon_send,
@@ -18,7 +17,6 @@ from anonsim.protocols import (
     anonymous_key_exchange,
     collision_detect,
     decompose_k,
-    elect_sender_receiver,
     prepare_rotated_states,
 )
 from anonsim.dense import (
@@ -350,75 +348,6 @@ def test_collision_rejects_bad_arguments():
         collision_detect(1, (), rng)
     with pytest.raises(ValueError):
         collision_detect(4, (4,), rng)
-
-
-# -------------------------------------------------------------------- aloha
-
-
-def test_aloha_single_wisher_finishes_immediately():
-    rng = RngStream(83)
-    sched = aloha_schedule(6, (3,), 4, rng)
-    assert sched.completed
-    assert sched.transmitted == {3: 1}
-    assert sched.rounds == (frozenset({3}),)
-
-
-def test_aloha_no_wishers():
-    rng = RngStream(89)
-    sched = aloha_schedule(6, (), 4, rng)
-    assert sched.completed
-    assert sched.rounds == ()
-    assert sched.transmitted == {}
-
-
-def test_aloha_two_wishers_eventually_separate():
-    rng = RngStream(97)
-    sched = aloha_schedule(5, (1, 4), 8, rng)
-    assert sched.completed
-    assert sched.transmitted[1] != sched.transmitted[4]
-    # round 1 is always a joint attempt
-    assert sched.rounds[0] == frozenset({1, 4})
-
-
-def test_aloha_unit_backoff_never_separates():
-    # with max_backoff=1 both wishers redraw delay 1 and collide forever
-    rng = RngStream(101)
-    sched = aloha_schedule(4, (0, 1), 1, rng, round_cap=50)
-    assert not sched.completed
-    assert len(sched.rounds) == 50
-    assert all(r == frozenset({0, 1}) for r in sched.rounds)
-
-
-def test_aloha_three_wishers_always_complete():
-    rng = RngStream(103)
-    for _ in range(200):
-        sched = aloha_schedule(6, (0, 1, 2), 4, rng, round_cap=500)
-        assert sched.completed
-        assert sorted(sched.transmitted) == [0, 1, 2]
-        assert len(set(sched.transmitted.values())) == 3
-
-
-def test_aloha_rejects_bad_arguments():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        aloha_schedule(4, (0,), 0, rng)
-    with pytest.raises(ValueError):
-        aloha_schedule(4, (5,), 2, rng)
-
-
-# ----------------------------------------------------------------- election
-
-
-def test_elect_sender_receiver_happy_path():
-    rng = RngStream(107)
-    assert elect_sender_receiver(5, (2,), (4,), rng) == (2, 4)
-
-
-def test_elect_sender_receiver_failures():
-    rng = RngStream(109)
-    assert elect_sender_receiver(5, (1, 2), (4,), rng) is None
-    assert elect_sender_receiver(5, (1,), (), rng) is None
-    assert elect_sender_receiver(5, (3,), (3,), rng) is None
 
 
 # ------------------------------------------------------------- key exchange

@@ -160,13 +160,6 @@ def test_from_dense_rejects_off_manifold_states():
         from_dense(flat)
 
 
-def test_reduced_canonical_form():
-    s = GhzPhaseState(3, 4, 2)  # 4/4 pi == pi
-    r = s.reduced()
-    assert (r.phase_numerator, r.phase_denom_exp) == (1, 0)
-    assert s.same_phase(r)
-
-
 # -------------------------------------------------------- measurement law
 
 
