@@ -70,6 +70,10 @@ CASES = {
     "sampled_dcnet_traceless":
         "verdict --protocol dcnet --n 4 --graph complete:4 --traceless --mode sampled "
         "--trials 300 --seed 7",
+    # rows of 8 + 56 = 64 view bits, wider than one int64 code holds
+    "sampled_dcnet_complete8_traceless":
+        "verdict --protocol dcnet --n 8 --graph complete:8 --traceless --mode sampled "
+        "--trials 300 --seed 8",
 }
 
 
