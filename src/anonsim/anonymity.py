@@ -33,7 +33,7 @@ candidates become one candidates x views count matrix, compared by
 total variation distance.
 Seeded sampled reports are therefore byte-identical to those of running
 and redacting every trial, and memory is bounded per block of trials
-plus one byte per view bit of each trial.
+plus one byte per view bit per trial, plus one 8-byte code per trial.
 """
 
 from __future__ import annotations
@@ -294,6 +294,7 @@ def _dcnet_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
 
 
 def _ghz_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
+    _validate_group(n)
     if graph is not None:
         raise ValueError("a key-sharing graph applies to the dcnet protocol only")
 

@@ -5,8 +5,9 @@ trial's view out as one row of bits, a one-to-one image of the view
 `anonymity._redact` builds, from `RngStream.draw_blocks`, which replays
 the draws of running the protocol trial after trial.  `view_counts`
 turns the rows of all candidates into one candidates x views count
-matrix.  This is the verdicts' only numpy code; exact verdicts never
-import it.
+matrix; apart from the blocks of draws, memory is one byte per view
+bit per trial, plus one 8-byte code per trial.  This is the verdicts'
+only numpy code; exact verdicts never import it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,23 @@ SAMPLERS: dict[str, Callable[[Roles, Sequence[int], int, RngStream], np.ndarray]
 }
 
 
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of bits, in the rows' lexicographic order: the
+    row read as a binary number, one column at a time.  Before a bit
+    that could overflow, the codes so far are replaced by their ranks
+    among the distinct ones, which keeps their order."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every code is below it
+    for column in rows.T:
+        if bound > 2**62:
+            ranks, codes = np.unique(codes, return_inverse=True)
+            bound = len(ranks)
+        codes <<= 1
+        codes |= column
+        bound <<= 1
+    return codes
+
+
 def view_counts(
     protocol: str,
     cast: Mapping[int, Roles],
@@ -141,18 +159,10 @@ def view_counts(
 ) -> np.ndarray:
     """Candidates x views matrix: how often each candidate's `trials` runs
     showed each view.  Candidates are sampled in turn from `rng`; the
-    columns are the distinct view rows in lexicographic order, which
-    packing eight bits to a byte keeps."""
+    columns are the distinct view rows in lexicographic order."""
     sample = SAMPLERS[protocol]
     rows = np.concatenate([sample(roles, watchers, trials, rng) for roles in cast.values()])
-    # One opaque item per row: np.unique(axis=0) would compare a
-    # structured item field by field, one field per column, several times
-    # slower.  Viewing a row as one item needs C order, which column
-    # picks such as ae's do not leave.
-    packed = np.packbits(np.ascontiguousarray(rows), axis=1)
-    views, inverse = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1]))), return_inverse=True
-    )
+    views, inverse = np.unique(_row_codes(rows), return_inverse=True)
     cells = len(cast) * len(views)
     cell = np.repeat(np.arange(0, cells, len(views)), trials) + inverse.reshape(-1)
     return np.bincount(cell, minlength=cells).reshape(len(cast), len(views))

@@ -32,7 +32,7 @@ from anonsim.anonymity import (
 from anonsim.keygraph import KeySharingGraph, is_connected, tolerance
 from anonsim.protocols import anon_send, dcnet_send, xor_pass
 from anonsim.rng import RngStream
-from anonsim.sampling import SAMPLERS, view_counts
+from anonsim.sampling import SAMPLERS, _row_codes, view_counts
 
 
 def tv_distance(p, q):
@@ -530,8 +530,11 @@ def _per_trial_views(spec, cast, watchers, trials, rng) -> dict[int, list]:
         ("dcnet", 4, "sender", KeySharingGraph.cycle(4)),
         ("dcnet", 5, "sender", KeySharingGraph.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])),
-        # hijacked rows are 10 bits wide, more than one packed byte
+        # hijacked rows are 10 bits wide, more than one byte
         ("ae", 5, "sender", None),
+        # hijacked rows are 8 + 56 = 64 bits wide, more than one int64
+        # code holds, so the codes are ranked before the last bit
+        ("dcnet", 8, "sender", KeySharingGraph.complete(8)),
     ],
 )
 @pytest.mark.parametrize("hijack", [False, True])
@@ -569,6 +572,30 @@ def test_count_matrix_matches_per_trial_runs(protocol, n, target, graph, hijack,
     max_tv = max(tv_distance(dists[a], dists[b]) for a, b in itertools.combinations(cast, 2))
     assert verdict.max_tv == float(max_tv)
     assert verdict.posterior_max == float(_bayes_posterior_max(dists))
+
+
+def _packed_row_unique(rows: np.ndarray):
+    """Oracle: the distinct rows and each row's index among them, from
+    each row packed to bytes and sorted as one opaque item."""
+    packed = np.packbits(np.ascontiguousarray(rows), axis=1)
+    return np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))), return_inverse=True
+    )
+
+
+@pytest.mark.parametrize("width", [1, 8, 62, 63, 64, 65, 200])
+def test_row_codes_order_views_as_packed_rows_do(width):
+    gen = np.random.default_rng(width)
+    # random rows, and rows that differ from one base row in a few bits
+    # only, so long shared prefixes reach every ranking step
+    base = gen.integers(0, 2, size=width, dtype=np.uint8)
+    flips = (gen.random((20, width)) < 4 / width).astype(np.uint8)
+    distinct = np.vstack([gen.integers(0, 2, size=(20, width), dtype=np.uint8), base ^ flips])
+    rows = distinct[gen.integers(0, len(distinct), size=400)]
+    views, inverse = _packed_row_unique(rows)
+    codes, code_inverse = np.unique(_row_codes(rows), return_inverse=True)
+    assert len(codes) == len(views)
+    assert code_inverse.reshape(-1).tolist() == inverse.reshape(-1).tolist()
 
 
 def test_sampled_anonq_n4_runs_default_trials_quickly():

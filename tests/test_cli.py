@@ -444,12 +444,25 @@ def test_verdict_ghz_protocol_rejects_a_graph(tmp_path, capsys, protocol, mode):
     _assert_config_error(code, stdout, stderr, out)
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("protocol", ["anon", "ae", "anonq"])
+@pytest.mark.parametrize("n", [-2, 0, 1, 2])
+def test_verdict_ghz_protocol_needs_three_players(tmp_path, capsys, n, protocol, mode):
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", protocol, "--n", str(n), "--mode", mode,
+        "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert stderr == f"error: need at least 3 players, got {n}\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [("--n", "5", "--traceless"), ("--n", "6", "--t", "3")],
 )
 def test_verdict_sampled_ae_wider_than_a_byte(tmp_path, capsys, args):
-    # each view row has more than 8 bits, so it packs into several bytes
+    # each view row has more than 8 bits
     out = tmp_path / "v.json"
     code, _, stderr = _run(
         capsys, "verdict", "--protocol", "ae", *args, "--mode", "sampled",
