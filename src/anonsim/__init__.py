@@ -16,7 +16,6 @@ _EXPORTS = {
         "AnonymityVerdict",
         "adversary_view",
         "anonymity_verdict",
-        "exact_transcript_distribution",
         "trace_attack",
         "traceless_verdict",
     ),

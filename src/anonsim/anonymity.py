@@ -18,9 +18,12 @@ are identical for every candidate.
 Every protocol the verdicts judge is registered in PROTOCOLS with its
 run function, its exact posterior and its input check, and in
 `sampling.SAMPLERS` with its batched sampler.  Exact mode is rational
-arithmetic and never loads numpy.  For the GHZ protocols it enumerates
-view distributions, built through the one redaction, `_redact`.  For
-the XOR network it is the closed form of Chaum's argument: with d = 1
+arithmetic and never loads numpy.  Each GHZ protocol lists its rounds
+there: one run's independent broadcast rounds, each a map from
+per-player bits to a probability, which is also the distribution of
+everyone's recorded draws.  Exact mode enumerates their joint outcomes
+into view distributions, built through the one redaction, `_redact`.
+For the XOR network it is the closed form of Chaum's argument: with d = 1
 the adversary learns which block of players it cannot split holds the
 sender, and nothing more; the tests check it against enumerating every
 key assignment.
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, product
 from operator import mul, xor
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -156,10 +159,14 @@ def trace_attack(run: Run, d: int) -> Optional[int]:
     return matches[0] if len(matches) == 1 else None
 
 
-def _anon_round(n, sender, receiver, d) -> dict[tuple[int, ...], Fraction]:
-    if sender is None or not 0 <= sender < n:
-        raise ValueError("anon distribution needs a sender in range")
-    _validate_bit(d)
+def _broadcast_round(n: int, sender: int, d: int) -> dict[tuple[int, ...], Fraction]:
+    """One anonymous broadcast of d, keyed by per-player bits.
+
+    The support is the outcome strings whose parity equals d, each with
+    probability 1/2^(n-1).  The parity is derived through the protocol
+    semantics, by applying the sender's flip to a GHZ state, so the
+    sender index genuinely drops out.
+    """
     state = make_ghz(n)
     if d == 1:
         state = apply_phase_flip(state, sender)
@@ -172,48 +179,27 @@ def _anon_round(n, sender, receiver, d) -> dict[tuple[int, ...], Fraction]:
     }
 
 
-def _ae_round(n, sender, receiver, d) -> dict[tuple[int, ...], Fraction]:
-    if sender is None or receiver is None or sender == receiver:
-        raise ValueError("ae distribution needs distinct sender and receiver")
-    _validate_players(n, "player", (sender, receiver))
+def _uniform_round(n: int) -> dict[tuple[int, ...], Fraction]:
+    """The entanglement protocol's round, keyed by per-player bits.
+
+    Asserted, not derived: every assignment gets probability 1/2^n,
+    because the measurement outcomes, the sender's coin and the
+    receiver's decoy are all uniform and independent.
+    """
     prob = Fraction(1, 1 << n)
     return {bits: prob for bits in product((0, 1), repeat=n)}
 
 
-_ROUNDS = {"anon": _anon_round, "ae": _ae_round}
-
-
-def exact_transcript_distribution(
-    protocol: str,
-    n: int,
-    *,
-    sender: Optional[int] = None,
-    receiver: Optional[int] = None,
-    d: int = 0,
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact broadcast distribution of one run, keyed by per-player bits.
-
-    For the anonymous bit broadcast the support is the outcome strings
-    whose parity equals d, each with probability 1/2^(n-1).  The parity
-    is derived through the protocol semantics, by applying the sender's
-    flip to a GHZ state, so the sender index genuinely drops out.  For
-    the entanglement protocol the result is asserted, not derived: every
-    per-player assignment of one bit gets probability 1/2^n, because the
-    measurement outcomes, the sender's coin and the receiver's decoy are
-    all uniform and independent.
-
-    Each player also holds exactly the bit they broadcast as their only
-    recorded draw, so this map doubles as the joint distribution of
-    (transcript, all randomness).
-    """
-    if protocol not in _ROUNDS:
-        raise ValueError(f"unknown protocol for exact enumeration: {protocol!r}")
-    if n > ENUM_PLAYER_LIMIT:
-        raise ValueError(
-            f"exact enumeration supports n <= {ENUM_PLAYER_LIMIT}; "
-            "use sampled mode for larger groups"
-        )
-    return _ROUNDS[protocol](n, sender, receiver, d)
+def _announce_round(n: int, sender: int) -> dict[tuple[int, ...], Fraction]:
+    """One anonymous broadcast of a uniform bit: the half-and-half mix of
+    broadcasting 0 and 1.  The qubit transfer announces each of its Bell
+    outcomes, independent uniform bits, this way."""
+    half = Fraction(1, 2)
+    return {
+        bits: half * prob
+        for m in (0, 1)
+        for bits, prob in _broadcast_round(n, sender, m).items()
+    }
 
 
 def _broadcast_outcomes(
@@ -247,41 +233,6 @@ class Roles(NamedTuple):
     graph: Optional[KeySharingGraph]
 
 
-def _anon_outcomes(r: Roles) -> Iterator[tuple]:
-    _validate_group(r.n)
-    return _broadcast_outcomes(
-        r.n, [exact_transcript_distribution("anon", r.n, sender=r.sender, d=r.d)]
-    )
-
-
-def _ae_outcomes(r: Roles) -> Iterator[tuple]:
-    _validate_group(r.n)
-    dist = exact_transcript_distribution("ae", r.n, sender=r.sender, receiver=r.receiver)
-    return _broadcast_outcomes(r.n, [dist])
-
-
-def _anonq_outcomes(r: Roles) -> Iterator[tuple]:
-    n = r.n
-    _validate_group(n)
-    if n > ANONQ_ENUM_PLAYER_LIMIT:
-        raise ValueError(
-            f"exact enumeration of the qubit protocol supports "
-            f"n <= {ANONQ_ENUM_PLAYER_LIMIT}; use sampled mode"
-        )
-    pair = exact_transcript_distribution("ae", n, sender=r.sender, receiver=r.receiver)
-    # The Bell outcomes m0 and m1 are independent uniform bits, each sent
-    # by one anonymous broadcast.
-    half = Fraction(1, 2)
-    announce = {
-        bits: half * prob
-        for m in (0, 1)
-        for bits, prob in exact_transcript_distribution(
-            "anon", n, sender=r.sender, d=m
-        ).items()
-    }
-    return _broadcast_outcomes(n, [pair, announce, announce])
-
-
 def _dcnet_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
     if target != "sender":
         raise ValueError("the XOR network models sender anonymity only")
@@ -311,7 +262,7 @@ def _dcnet_exact(cast: Mapping[int, Roles], watchers: Sequence[int]) -> Fraction
     d = 0 it is the baseline.
     """
     roles = next(iter(cast.values()))
-    if _validate_bit(roles.d) == 0:
+    if roles.d == 0:
         return Fraction(1, len(cast))
     unwatched = set(range(roles.n)) - set(watchers)
     blocks = components(roles.graph, unwatched) + [[p] for p in watchers]
@@ -327,7 +278,8 @@ class ProtocolSpec(NamedTuple):
     the target role and the adversary sees every broadcast and the
     draws of the watched players.  `check(n, target, graph)` raises
     ValueError on inputs the protocol cannot judge, before either mode
-    runs.  The protocol's batched sampler is `sampling.SAMPLERS[name]`.
+    runs.  A GHZ protocol's `exact` is `_enumerated` over its round
+    list.  The protocol's batched sampler is `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
@@ -335,13 +287,25 @@ class ProtocolSpec(NamedTuple):
     check: Callable[[int, str, Optional[KeySharingGraph]], None]
 
 
-def _enumerated(outcomes: Callable[[Roles], Iterator[tuple]]) -> Callable:
-    """`exact` from an enumeration: `outcomes(roles)` yields every outcome
-    of one run as (broadcast rounds of (player, bits) pairs, each
-    player's draws, probability)."""
-    return lambda cast, watchers: _bayes_posterior_max(
-        _exact_view_dists(outcomes, cast, watchers)
-    )
+def _enumerated(
+    limit: int,
+    rounds: Callable[[Roles], list[Mapping[tuple[int, ...], Fraction]]],
+    cast: Mapping[int, Roles],
+    watchers: Sequence[int],
+) -> Fraction:
+    """`exact` of a GHZ protocol from its model: `rounds(roles)` lists
+    one run's independent broadcast rounds, each a map from per-player
+    bits to a probability.  Groups of more than `limit` players are
+    refused before any round is built."""
+    n = next(iter(cast.values())).n
+    if n > limit:
+        raise ValueError(
+            f"exact enumeration supports n <= {limit} for this protocol; "
+            "use sampled mode for larger groups"
+        )
+    return _bayes_posterior_max(_exact_view_dists(
+        lambda roles: _broadcast_outcomes(n, rounds(roles)), cast, watchers
+    ))
 
 
 # the view of a qubit transfer does not depend on the qubit sent
@@ -350,17 +314,27 @@ _ANONQ_QUBIT = (0.6, 0.8)
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
         lambda r, rng: anon_send(r.n, r.sender, r.d, rng),
-        _enumerated(_anon_outcomes),
+        partial(
+            _enumerated, ENUM_PLAYER_LIMIT,
+            lambda r: [_broadcast_round(r.n, r.sender, r.d)],
+        ),
         _ghz_check,
     ),
     "ae": ProtocolSpec(
         lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
-        _enumerated(_ae_outcomes),
+        partial(_enumerated, ENUM_PLAYER_LIMIT, lambda r: [_uniform_round(r.n)]),
         _ghz_check,
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
-        _enumerated(_anonq_outcomes),
+        partial(
+            _enumerated, ANONQ_ENUM_PLAYER_LIMIT,
+            lambda r: [
+                _uniform_round(r.n),
+                _announce_round(r.n, r.sender),
+                _announce_round(r.n, r.sender),
+            ],
+        ),
         _ghz_check,
     ),
     "dcnet": ProtocolSpec(
@@ -488,6 +462,7 @@ def anonymity_verdict(
     if target not in ("sender", "receiver"):
         raise ValueError(f"target must be 'sender' or 'receiver', got {target!r}")
     spec.check(n, target, graph)
+    _validate_bit(d)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):

@@ -208,7 +208,7 @@ def cmd_collision(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
     wishers = _parse_ids(args.wishers)
     verdict = protocols.collision_detect(args.n, wishers, rng)
-    transcript = protocols.Transcript("collision", args.n)
+    transcript = protocols.Transcript(args.n)
     ledger = protocols.RandomnessLedger()
     run = protocols.Run(verdict, transcript, ledger)
     return _record_run(

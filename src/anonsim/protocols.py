@@ -47,8 +47,7 @@ class Transcript:
     partial rounds are preserved.
     """
 
-    def __init__(self, protocol: str, n: int) -> None:
-        self.protocol = protocol
+    def __init__(self, n: int) -> None:
         self.n = n
         self.rounds: list[list[BroadcastEntry]] = []
         self.aborted = False
@@ -148,14 +147,14 @@ def _validate_players(n: int, label: str, players: Iterable[int]) -> set[int]:
 
 
 def _broadcast_draws(
-    protocol: str, n: int, names: Sequence[str], bits: Sequence[int], withheld: set[int]
+    n: int, names: Sequence[str], bits: Sequence[int], withheld: set[int]
 ) -> tuple[Transcript, RandomnessLedger]:
     """One broadcast round in which each player's one draw is their message.
 
     Player p records the draw bits[p] under names[p] and broadcasts it,
     unless p withholds; any withholding marks the transcript aborted.
     """
-    transcript = Transcript(protocol, n)
+    transcript = Transcript(n)
     sent = [BroadcastEntry(p, str(bit)) for p, bit in enumerate(bits)]
     transcript.add_round([entry for entry in sent if entry.player not in withheld])
     transcript.aborted = bool(withheld)
@@ -180,7 +179,7 @@ def _flip_and_broadcast(
         state = apply_phase_flip(state, p)
     record = hadamard_measure_all(state, rng)
     names = ["measurement"] * n
-    transcript, ledger = _broadcast_draws("anon", n, names, record.outcomes, withheld)
+    transcript, ledger = _broadcast_draws(n, names, record.outcomes, withheld)
     output = None if withheld else transcript.round_parity(0)
     return Run(output, transcript, ledger)
 
@@ -271,7 +270,7 @@ def ae_establish(
     draws[sender] = ("coin", b)
     draws[receiver] = ("decoy", b_prime)
     names, bits = zip(*(draws[p] for p in range(n)))
-    transcript, ledger = _broadcast_draws("ae", n, names, bits, withheld)
+    transcript, ledger = _broadcast_draws(n, names, bits, withheld)
     return Run(None if withheld else pair, transcript, ledger)
 
 
@@ -305,7 +304,6 @@ def anonq_send(
     pair, transcript, ledger = ae_establish(
         n, sender, receiver, rng, withholders=withholders
     )
-    transcript.protocol = "anonq"
     if pair is None:
         return Run(None, transcript, ledger)
 
@@ -381,7 +379,7 @@ def dcnet_send(graph: KeySharingGraph, sender: int, d: int, rng: RngStream) -> R
     _validate_bit(d)
     announced, incident = xor_pass(n, edges, [rng.bit() for _ in edges])
     announced[sender] ^= d
-    transcript = Transcript("dcnet", n)
+    transcript = Transcript(n)
     transcript.add_round([BroadcastEntry(p, str(bit)) for p, bit in enumerate(announced)])
     ledger = RandomnessLedger(
         dict(enumerate(map(list, names))), dict(enumerate(incident))
@@ -518,7 +516,7 @@ def anonymous_key_exchange(
     if bits_j is not None and len(bits_j) != key_len:
         raise ValueError("bits_j must have length key_len")
 
-    transcript = Transcript("anon", n)
+    transcript = Transcript(n)
     key_i: list[int] = []
     key_j: list[int] = []
     for idx in range(key_len):

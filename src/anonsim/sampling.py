@@ -18,7 +18,7 @@ import numpy as np
 
 from .anonymity import _ANONQ_QUBIT, Roles
 from .dense import DenseState, bell_outcome_cdf, tensor, to_dense
-from .protocols import _validate_bit, _validate_group, xor_pass
+from .protocols import xor_pass
 from .qsim import make_ghz
 from .rng import RngStream
 
@@ -64,8 +64,6 @@ def _ae_columns(r: Roles) -> np.ndarray:
 def _anon_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
-    _validate_group(r.n)
-    _validate_bit(r.d)
     # the uniform is moot: a phase of 0 or pi fixes the parity to d
     return _sample_rows(
         rng,
@@ -78,7 +76,6 @@ def _anon_sample(
 def _ae_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
-    _validate_group(r.n)
     columns = _ae_columns(r)
     return _sample_rows(
         rng, "B" * r.n, trials, lambda u, b: _broadcast_rows([b[:, columns]], watchers)
@@ -89,7 +86,6 @@ def _anonq_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
     n = r.n
-    _validate_group(n)
     columns = _ae_columns(r)
     # the pair left by ae_establish always has phase 0
     bell_in = tensor(DenseState(1, _ANONQ_QUBIT), to_dense(make_ghz(2)))
@@ -109,7 +105,6 @@ def _anonq_sample(
 def _dcnet_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
-    _validate_bit(r.d)
     edges = sorted(r.graph.edges)
 
     def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,7 +119,8 @@ def _dcnet_sample(
 # watchers, trials, rng)` draws from `rng` exactly what `trials` calls of
 # the protocol's run would and returns a trials x width uint8 matrix: row
 # i is run i's view as `_redact` builds it, flattened, that is every
-# broadcast bit round by round, then each watcher's draws.
+# broadcast bit round by round, then each watcher's draws.  The roles
+# are checked once, by `anonymity.anonymity_verdict`, before any sampler runs.
 SAMPLERS: dict[str, Callable[[Roles, Sequence[int], int, RngStream], np.ndarray]] = {
     "anon": _anon_sample,
     "ae": _ae_sample,

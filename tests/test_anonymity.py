@@ -16,16 +16,14 @@ from anonsim.anonymity import (
     PROTOCOLS,
     AdversaryView,
     Roles,
-    _ae_outcomes,
-    _anon_outcomes,
-    _anonq_outcomes,
     _bayes_posterior_max,
+    _broadcast_outcomes,
+    _broadcast_round,
     _cast,
     _exact_view_dists,
     _redact,
     adversary_view,
     anonymity_verdict,
-    exact_transcript_distribution,
     trace_attack,
     traceless_verdict,
 )
@@ -75,10 +73,22 @@ def _dcnet_outcomes(r: Roles):
         yield (tuple(table[p][b] for p, b in enumerate(announced)),), incident, prob
 
 
+def _round_list(protocol: str):
+    """A GHZ protocol's exact model in PROTOCOLS: roles -> one run's list
+    of independent broadcast rounds."""
+    _, rounds = PROTOCOLS[protocol].exact.args
+    return rounds
+
+
+def _ghz_outcomes(protocol: str):
+    rounds = _round_list(protocol)
+    return lambda r: _broadcast_outcomes(r.n, rounds(r))
+
+
 OUTCOMES = {
-    "anon": _anon_outcomes,
-    "ae": _ae_outcomes,
-    "anonq": _anonq_outcomes,
+    "anon": _ghz_outcomes("anon"),
+    "ae": _ghz_outcomes("ae"),
+    "anonq": _ghz_outcomes("anonq"),
     "dcnet": _dcnet_outcomes,
 }
 
@@ -210,30 +220,29 @@ def test_dcnet_exact_verdict_passes_iff_t_within_tolerance():
 def test_anon_distribution_support_and_mass():
     for n in (3, 4, 5):
         for d in (0, 1):
-            dist = exact_transcript_distribution("anon", n, sender=0, d=d)
+            dist = _broadcast_round(n, 0, d)
             assert len(dist) == 1 << (n - 1)
             assert sum(dist.values()) == 1
             assert all(sum(bits) % 2 == d for bits in dist)
             assert set(dist.values()) == {Fraction(1, 1 << (n - 1))}
 
 
-def test_anon_distribution_is_sender_invariant():
-    for n in (3, 4, 6):
-        for d in (0, 1):
-            dists = [
-                exact_transcript_distribution("anon", n, sender=s, d=d)
-                for s in range(n)
-            ]
-            assert all(dist == dists[0] for dist in dists)
+def test_round_lists_are_candidate_invariant():
+    # whoever takes the target role, one run's rounds, and with them
+    # everyone's draws, have the same distribution
+    for protocol in ("anon", "ae", "anonq"):
+        rounds = _round_list(protocol)
+        for n, target, d in itertools.product((3, 4, 6), ("sender", "receiver"), (0, 1)):
+            lists = [rounds(roles) for roles in _cast(n, range(n), target, d, None).values()]
+            assert all(rl == lists[0] for rl in lists), (protocol, n, target, d)
 
 
 def test_ae_distribution_uniform_and_pair_invariant():
     n = 5
+    rounds = _round_list("ae")
     reference = None
     for sender, receiver in itertools.permutations(range(n), 2):
-        dist = exact_transcript_distribution(
-            "ae", n, sender=sender, receiver=receiver
-        )
+        (dist,) = rounds(Roles(n, sender, receiver, 1, None))
         assert len(dist) == 1 << n
         assert sum(dist.values()) == 1
         assert set(dist.values()) == {Fraction(1, 1 << n)}
@@ -243,19 +252,27 @@ def test_ae_distribution_uniform_and_pair_invariant():
 
 
 def test_exact_distribution_rejects_large_groups():
-    with pytest.raises(ValueError, match="sampled"):
-        exact_transcript_distribution("anon", 13, sender=0, d=1)
+    for protocol in ("anon", "ae"):
+        with pytest.raises(ValueError, match="sampled"):
+            anonymity_verdict(protocol, 13)
+    # the limits are tested before any round is built
+    for protocol in ("anon", "ae", "anonq"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="sampled"):
+            anonymity_verdict(protocol, 24)
+        assert time.perf_counter() - start < 1.0, protocol
 
 
-def test_exact_distribution_argument_errors():
-    with pytest.raises(ValueError):
-        exact_transcript_distribution("anon", 4, d=1)
-    with pytest.raises(ValueError):
-        exact_transcript_distribution("anon", 4, sender=0, d=7)
-    with pytest.raises(ValueError):
-        exact_transcript_distribution("ae", 4, sender=1, receiver=1)
-    with pytest.raises(ValueError):
-        exact_transcript_distribution("nope", 4, sender=0)
+def test_verdict_rejects_non_bit_data():
+    graph = KeySharingGraph.complete(4)
+    for protocol, mode, d in itertools.product(
+        ("anon", "ae", "anonq", "dcnet"), ("exact", "sampled"), (-1, 2, 7)
+    ):
+        with pytest.raises(ValueError, match="data bit must be 0 or 1"):
+            anonymity_verdict(
+                protocol, 4, d=d, mode=mode, trials=10, rng=RngStream(0),
+                graph=graph if protocol == "dcnet" else None,
+            )
 
 
 def test_tv_distance_basics():
