@@ -2,8 +2,7 @@
 
 The names below are loaded on first use (PEP 562), so `import anonsim`
 costs nothing and a command loads only the modules it runs.  None of
-them loads numpy.  The dense state-vector backend, which does, is
-imported from its own module, `anonsim.dense`.
+them loads numpy; only sampled verdicts (`anonsim.sampling`) do.
 """
 
 from importlib import import_module
@@ -16,7 +15,6 @@ _EXPORTS = {
         "AnonymityVerdict",
         "adversary_view",
         "anonymity_verdict",
-        "trace_attack",
         "traceless_verdict",
     ),
     "keygraph": (
@@ -45,6 +43,7 @@ _EXPORTS = {
         "dcnet_send",
         "decompose_k",
         "prepare_rotated_states",
+        "trace_attack",
     ),
     "qsim": (
         "GhzPhaseState",

@@ -11,7 +11,8 @@ The classical comparison point is a pairwise-key XOR network (dining
 cryptographers, `protocols.dcnet_send`).  There the announcements are
 deterministic functions of the keys, so a full-randomness adversary
 replays every player's expected announcement both as a non-sender and
-as a sender and identifies the sender of a 1 exactly.  The GHZ
+as a sender and identifies the sender of a 1 exactly
+(`protocols.trace_attack`, which runs without this module).  The GHZ
 protocols do not have that failure mode: their transcript distributions
 are identical for every candidate.
 
@@ -28,12 +29,12 @@ the adversary learns which block of players it cannot split holds the
 sender, and nothing more; the tests check it against enumerating every
 key assignment.
 
-Sampled mode draws all of one candidate's trials at once: the sampler
-lays each trial's view out as one row of bits, a one-to-one image of
-the redacted view, from `RngStream.draw_blocks`, which replays the
-draws of running the protocol trial after trial.  The rows of all
-candidates become one candidates x views count matrix, compared by
-total variation distance.
+Sampled mode, the package's one user of numpy, draws all of one
+candidate's trials at once: the sampler lays each trial's view out as
+one row of bits, a one-to-one image of the redacted view, from
+`RngStream.draw_blocks`, which replays the draws of running the
+protocol trial after trial.  The rows of all candidates become one
+candidates x views count matrix, compared by total variation distance.
 Seeded sampled reports are therefore byte-identical to those of running
 and redacting every trial, and memory is bounded per block of trials
 plus one byte per view bit per trial, plus one 8-byte code per trial.
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, product
-from operator import mul, xor
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, components, is_connected
@@ -138,25 +139,6 @@ def adversary_view(
     watchers = tuple(range(n)) if hijacked_all else corrupted
     messages, randomness = _redact(transcript.rounds, ledger.values, watchers)
     return AdversaryView(corrupted, hijacked_all, messages, randomness)
-
-
-def trace_attack(run: Run, d: int) -> Optional[int]:
-    """Identify the sender of an XOR-network run from hijacked randomness.
-
-    Each player's ledger holds their incident key bits, so their
-    announcement as a non-sender is the XOR of their ledger values, and
-    as the sender that XOR plus d.  A player whose announcement in the
-    transcript matches only the sender replay is identified.  For d = 0
-    the two replays coincide and nobody is distinguishable.  Returns the
-    identified player or None.
-    """
-    _validate_bit(d)
-    # the sender replay, non-sender ^ d, differs from it only for d = 1
-    matches = [
-        e.player for e in run.transcript.rounds[0]
-        if d and int(e.bits) != reduce(xor, run.ledger.values(e.player), 0)
-    ]
-    return matches[0] if len(matches) == 1 else None
 
 
 def _broadcast_round(n: int, sender: int, d: int) -> dict[tuple[int, ...], Fraction]:

@@ -178,15 +178,17 @@ def _parse_qubit(alpha_text: str, beta_text: str) -> tuple[complex, complex]:
         raise ValueError(
             f"qubit amplitudes {alpha_text} and {beta_text} are too large to normalize"
         )
-    if norm <= 0.0:
+    if alpha == beta == 0:
         raise ValueError("qubit amplitudes must not both be zero")
+    if norm < sys.float_info.min:
+        raise ValueError(
+            f"qubit amplitudes {alpha_text} and {beta_text} are too small to normalize"
+        )
     scale = norm ** -0.5
     return alpha * scale, beta * scale
 
 
 def cmd_anonq(args) -> int:
-    from .dense import DenseState, fidelity
-
     rng = RngStream(args.seed, args.stream_id)
     qubit = _parse_qubit(args.alpha, args.beta)
     run = protocols.anonq_send(args.n, args.sender, args.receiver, qubit, rng)
@@ -195,7 +197,8 @@ def cmd_anonq(args) -> int:
         return _record_run(
             args, "anonq", args.n, run, {"aborted": True}, config, [("aborted", True)]
         )
-    transfer_fidelity = fidelity(DenseState(1, qubit), DenseState(1, run.output))
+    overlap = sum(a.conjugate() * b for a, b in zip(qubit, run.output))
+    transfer_fidelity = abs(overlap) ** 2
     return _record_run(
         args, "anonq", args.n, run,
         {"fidelity": transfer_fidelity, "aborted": False},
@@ -226,9 +229,7 @@ def cmd_dcnet(args) -> int:
     summary = [("d", args.d), ("decoded", run.output)]
     traced = None
     if args.trace:
-        from . import anonymity
-
-        traced = anonymity.trace_attack(run, args.d)
+        traced = protocols.trace_attack(run, args.d)
         summary.append(("traced", traced))
     return _record_run(
         args, "dcnet", graph.num_nodes, run,

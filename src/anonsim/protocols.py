@@ -16,8 +16,11 @@ they are the secrets whose leakage the analysis layer checks for.
 
 from __future__ import annotations
 
+import cmath
 import enum
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, is_connected
@@ -274,6 +277,19 @@ def ae_establish(
     return Run(None if withheld else pair, transcript, ledger)
 
 
+def _check_qubit(qubit: Sequence[complex]) -> tuple[complex, complex]:
+    """The qubit's two amplitudes, checked to be finite and normalized."""
+    amps = tuple(map(complex, qubit))
+    if len(amps) != 2:
+        raise ValueError(f"expected 2 amplitudes, got {len(amps)}")
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError(f"qubit amplitudes must be finite, got {amps}")
+    norm = math.hypot(*map(abs, amps))
+    if not abs(norm - 1) <= 1e-9:
+        raise ValueError(f"state is not normalized (norm {norm!r})")
+    return amps
+
+
 def anonq_send(
     n: int,
     sender: int,
@@ -287,44 +303,30 @@ def anonq_send(
 
     First establishes an anonymous EPR pair, then the sender Bell-measures
     the input qubit against their half and announces the two outcome bits
-    with two anonymous broadcasts.  The receiver applies Z^m0 then X^m1.
-    The output is the received amplitudes, None if any stage aborted.
-    """
-    from .dense import (
-        PAULI_X,
-        PAULI_Z,
-        DenseState,
-        bell_measure,
-        dense_apply_gate,
-        tensor,
-        to_dense,
-    )
+    m0 (phase) and m1 (bit flip) with two anonymous broadcasts.  The
+    receiver applies Z^m0 then X^m1.  The output is the received
+    amplitudes, None if any stage aborted.
 
-    sent = DenseState(1, qubit)
+    The pair ae_establish leaves is exactly (|00> + |11>)/sqrt(2), so the
+    four Bell outcomes are equally likely whatever the qubit, and after
+    the corrections the receiver holds the sent qubit exactly (Bennett et
+    al., PRL 70, 1895, 1993).  So the Bell measurement is one uniform
+    draw u with 2*m0 + m1 = floor(4u), and the received amplitudes are
+    the sent ones.
+    """
+    sent = _check_qubit(qubit)
     pair, transcript, ledger = ae_establish(
         n, sender, receiver, rng, withholders=withholders
     )
     if pair is None:
         return Run(None, transcript, ledger)
 
-    # Qubit 0: input.  Qubit 1: sender's pair half.  Qubit 2: receiver's.
-    combined = tensor(sent, to_dense(pair))
-    m0, m1, post = bell_measure(combined, 0, 1, rng)
-
-    decoded0, t0, l0 = anon_send(n, sender, m0, rng)
-    decoded1, t1, l1 = anon_send(n, sender, m1, rng)
-    transcript.extend(t0)
-    transcript.extend(t1)
-    ledger.extend(l0)
-    ledger.extend(l1)
-
-    corrected = post
-    if decoded0 == 1:
-        corrected = dense_apply_gate(corrected, PAULI_Z, (2,))
-    if decoded1 == 1:
-        corrected = dense_apply_gate(corrected, PAULI_X, (2,))
-    base = m0 | (m1 << 1)
-    return Run(corrected.amplitudes[[base, base | 4]], transcript, ledger)
+    outcome = int(4 * rng.uniform())
+    for bit in (outcome >> 1, outcome & 1):
+        _, t, l = anon_send(n, sender, bit, rng)
+        transcript.extend(t)
+        ledger.extend(l)
+    return Run(sent, transcript, ledger)
 
 
 def xor_pass(
@@ -385,6 +387,25 @@ def dcnet_send(graph: KeySharingGraph, sender: int, d: int, rng: RngStream) -> R
         dict(enumerate(map(list, names))), dict(enumerate(incident))
     )
     return Run(sum(announced) & 1, transcript, ledger)
+
+
+def trace_attack(run: Run, d: int) -> Optional[int]:
+    """Identify the sender of an XOR-network run from hijacked randomness.
+
+    Each player's ledger holds their incident key bits, so their
+    announcement as a non-sender is the XOR of their ledger values, and
+    as the sender that XOR plus d.  A player whose announcement in the
+    transcript matches only the sender replay is identified.  For d = 0
+    the two replays coincide and nobody is distinguishable.  Returns the
+    identified player or None.
+    """
+    _validate_bit(d)
+    # the sender replay, non-sender ^ d, differs from it only for d = 1
+    matches = [
+        e.player for e in run.transcript.rounds[0]
+        if d and int(e.bits) != reduce(xor, run.ledger.values(e.player), 0)
+    ]
+    return matches[0] if len(matches) == 1 else None
 
 
 def prepare_rotated_states(n: int) -> list[GhzPhaseState]:

@@ -7,8 +7,8 @@ The protocols in this package only ever manipulate states of the form
 where phi stays a dyadic multiple of pi.  GhzPhaseState tracks that one
 relative phase with exact integer arithmetic, so protocol correctness
 claims are checked without floating point, and this module never loads
-numpy.  The dense state-vector oracle, which the teleportation step of
-the qubit transfer also needs, is `anonsim.dense`.
+numpy.  Its dense state-vector oracle lives in the tests
+(`tests/dense_oracle.py`).
 
 Conventions
 -----------
@@ -135,9 +135,9 @@ def apply_rz(
 def epr_fidelity(pair: GhzPhaseState) -> float:
     """|<EPR|pair>|^2 of a two-qubit state, EPR = (|00> + |11>)/sqrt(2).
 
-    The float operations of `dense.fidelity` on the two nonzero
-    amplitudes, conj(h)*h + conj(h*exp(i*phi))*h with h = 1/sqrt(2), so
-    phase 0 gives the same float as the dense oracle.
+    The float operations of the dense oracle's `fidelity` (in the
+    tests) on the two nonzero amplitudes, conj(h)*h + conj(h*exp(i*phi))*h
+    with h = 1/sqrt(2), so phase 0 gives the same float as the oracle.
     """
     if pair.num_qubits != 2:
         raise ValueError(f"EPR fidelity needs 2 qubits, got {pair.num_qubits}")

@@ -6,8 +6,9 @@ trial's view out as one row of bits, a one-to-one image of the view
 the draws of running the protocol trial after trial.  `view_counts`
 turns the rows of all candidates into one candidates x views count
 matrix; apart from the blocks of draws, memory is one byte per view
-bit per trial, plus one 8-byte code per trial.  This is the verdicts'
-only numpy code; exact verdicts never import it.
+bit per trial, plus one 8-byte code per trial.  This module and
+`RngStream.draw_blocks` are the package's only numpy code; no run
+command and no exact verdict imports them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .anonymity import _ANONQ_QUBIT, Roles
-from .dense import DenseState, bell_outcome_cdf, tensor, to_dense
+from .anonymity import Roles
 from .protocols import xor_pass
-from .qsim import make_ghz
 from .rng import RngStream
 
 # The samplers below turn blocks of draws from RngStream.draw_blocks
@@ -87,12 +86,10 @@ def _anonq_sample(
 ) -> np.ndarray:
     n = r.n
     columns = _ae_columns(r)
-    # the pair left by ae_establish always has phase 0
-    bell_in = tensor(DenseState(1, _ANONQ_QUBIT), to_dense(make_ghz(2)))
-    cdf = bell_outcome_cdf(bell_in, 0, 1)
 
     def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-        bell = np.searchsorted(cdf, u[:, 0], side="right").astype(np.uint8)
+        # anonq_send's Bell outcome 2*m0 + m1, from its one uniform
+        bell = (u[:, 0] * 4).astype(np.uint8)
         pair = b[:, columns]
         m0 = _parity_round(b[:, n : 2 * n - 1], bell >> 1)
         m1 = _parity_round(b[:, 2 * n - 1 :], bell & 1)

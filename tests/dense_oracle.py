@@ -1,11 +1,11 @@
-"""Dense state-vector backend: the oracle for the GHZ phase manifold.
+"""Dense state-vector backend: the tests' oracle for `anonsim`.
 
 DenseState is a conventional amplitude-vector simulator, used as an
-independent check of `qsim` on small systems and for the teleportation
-step of the qubit transfer, which leaves the GHZ manifold.  This is the
-package's numpy boundary for amplitudes: `qsim` tracks GHZ-manifold
-states exactly and never loads numpy, and a command loads this module
-only when it needs amplitude vectors.
+independent check of `qsim` on small systems and of the closed-form
+teleportation step of `protocols.anonq_send`, whose circuit (Bell
+measurement, then Z^m0 X^m1 on the receiver's half) leaves the GHZ
+manifold.  The package itself tracks GHZ-manifold states exactly and
+never needs amplitude vectors.
 
 Conventions follow `qsim`: qubit index 0 is the least significant bit of
 an amplitude index, and global phase is discarded.
@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qsim import _SQRT_HALF, GhzPhaseState
-from .rng import RngStream
+from anonsim.qsim import _SQRT_HALF, GhzPhaseState
+from anonsim.rng import RngStream
 
 DENSE_QUBIT_LIMIT = 14
 
@@ -222,27 +222,6 @@ def apply_hadamard_all(state: DenseState) -> DenseState:
     return out
 
 
-def _measurement_cdf(
-    state: DenseState, qubits: tuple[int, ...]
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-    """The state with the measured axes moved to the front, those axes,
-    the joint outcome probabilities and their cumulative sums."""
-    k = len(qubits)
-    if len(set(qubits)) != k or k == 0:
-        raise ValueError("measured qubits must be distinct and nonempty")
-    n = state.num_qubits
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    psi = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - q for q in qubits]
-    psi_t = np.moveaxis(psi, axes, list(range(k)))
-    probs = (np.abs(psi_t) ** 2).reshape(1 << k, -1).sum(axis=1)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return psi_t, axes, probs, cum
-
-
 def dense_measure(
     state: DenseState, qubits: tuple[int, ...] | list[int], rng: RngStream
 ) -> tuple[tuple[int, ...], DenseState]:
@@ -256,8 +235,18 @@ def dense_measure(
     """
     qubits = tuple(qubits)
     k = len(qubits)
+    if len(set(qubits)) != k or k == 0:
+        raise ValueError("measured qubits must be distinct and nonempty")
     n = state.num_qubits
-    psi_t, axes, probs, cum = _measurement_cdf(state, qubits)
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    psi = state.amplitudes.reshape((2,) * n)
+    axes = [n - 1 - q for q in qubits]
+    psi_t = np.moveaxis(psi, axes, list(range(k)))
+    probs = (np.abs(psi_t) ** 2).reshape(1 << k, -1).sum(axis=1)
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
     idx = int(np.searchsorted(cum, rng.uniform(), side="right"))
     outcomes = tuple((idx >> (k - 1 - i)) & 1 for i in range(k))
     sel = psi_t[tuple(outcomes)]
@@ -289,17 +278,6 @@ def bell_measure(
         _bell_basis(state, qubit_a, qubit_b), (qubit_a, qubit_b), rng
     )
     return m0, m1, post
-
-
-def bell_outcome_cdf(state: DenseState, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """Cumulative probabilities of bell_measure's outcomes 2*m0 + m1.
-
-    bell_measure(state, qubit_a, qubit_b, rng) returns the outcome
-    searchsorted(cdf, u, side="right") for its one uniform draw u; these
-    are the same floats.
-    """
-    basis = _bell_basis(state, qubit_a, qubit_b)
-    return _measurement_cdf(basis, (qubit_a, qubit_b))[3]
 
 
 def _bell_basis(state: DenseState, qubit_a: int, qubit_b: int) -> DenseState:

@@ -12,11 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from anonsim.anonymity import (
-    _broadcast_round,
-    trace_attack,
-    traceless_verdict,
-)
+from anonsim.anonymity import _broadcast_round, traceless_verdict
 from anonsim.keygraph import (
     KeySharingGraph,
     is_partitioning_set,
@@ -33,8 +29,12 @@ from anonsim.protocols import (
     collision_detect,
     dcnet_send,
     decompose_k,
+    trace_attack,
 )
-from anonsim.dense import (
+from anonsim.qsim import apply_phase_flip, apply_rz, make_ghz
+from anonsim.rng import RngStream, derive_stream_id
+
+from dense_oracle import (
     PAULI_Z,
     apply_hadamard_all,
     dense_apply_gate,
@@ -44,8 +44,6 @@ from anonsim.dense import (
     rz_gate,
     to_dense,
 )
-from anonsim.qsim import apply_phase_flip, apply_rz, make_ghz
-from anonsim.rng import RngStream, derive_stream_id
 
 SEED = 2026
 

@@ -24,11 +24,10 @@ from anonsim.anonymity import (
     _redact,
     adversary_view,
     anonymity_verdict,
-    trace_attack,
     traceless_verdict,
 )
 from anonsim.keygraph import KeySharingGraph, is_connected, tolerance
-from anonsim.protocols import anon_send, dcnet_send, xor_pass
+from anonsim.protocols import anon_send, dcnet_send, trace_attack, xor_pass
 from anonsim.rng import RngStream
 from anonsim.sampling import SAMPLERS, _row_codes, view_counts
 

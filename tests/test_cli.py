@@ -140,6 +140,7 @@ def test_anonq_rejects_zero_amplitudes(capsys):
     )
     assert code == EXIT_CONFIG
     assert "error:" in stderr
+    assert "must not both be zero" in stderr
 
 
 def test_anonq_accepts_negative_amplitude_as_separate_value(tmp_path, capsys):
@@ -177,11 +178,33 @@ def test_anonq_rejects_non_finite_or_overflowing_amplitudes(tmp_path, capsys, al
     _assert_config_error(code, stdout, stderr, out)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, beta", [("1e-170", "0"), ("1e-160", "1e-160")])
+def test_anonq_rejects_underflowing_amplitudes(tmp_path, capsys, alpha, beta):
+    out = tmp_path / "anonq.json"
+    code, stdout, stderr = _run(
+        capsys, "anonq", "--n", "4", "--sender", "0", "--receiver", "2",
+        "--alpha", alpha, "--beta", beta, "--seed", "5", "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert "too small to normalize" in stderr
+
+
 def test_anonq_normalizes_large_finite_amplitudes(tmp_path, capsys):
     out = tmp_path / "anonq.json"
     code, stdout, _ = _run(
         capsys, "anonq", "--n", "4", "--sender", "0", "--receiver", "2",
         "--alpha", "6e100", "--beta", "8e100j", "--seed", "5", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert "fidelity=1.000000000000" in stdout
+
+
+def test_anonq_normalizes_small_finite_amplitudes(tmp_path, capsys):
+    out = tmp_path / "anonq.json"
+    code, stdout, _ = _run(
+        capsys, "anonq", "--n", "4", "--sender", "0", "--receiver", "2",
+        "--alpha", "6e-150", "--beta", "8e-150j", "--seed", "5", "--out", str(out),
     )
     assert code == EXIT_OK
     assert "fidelity=1.000000000000" in stdout

@@ -103,18 +103,16 @@ def test_golden_output(name, tmp_path):
     assert summary == _summaries()[name]
 
 
-# The cases that need numpy: amplitude arrays (the qubit transfer's
-# teleportation and fidelity) and batched sampling.  Every other case
-# stays on the GHZ phase manifold and runs without it.
-NUMPY_CASES = {"anonq"} | {name for name in CASES if name.startswith("sampled_")}
+# The cases that need numpy: batched sampling.  Every other case, the
+# qubit transfer's closed-form teleportation included, stays on the GHZ
+# phase manifold and runs without it.
+NUMPY_CASES = {name for name in CASES if name.startswith("sampled_")}
 
-# The cases that import `anonymity` (every verdict, and the XOR network's
-# trace), whose AnonymityVerdict is a dataclass: they load `dataclasses`
-# and the `inspect` it imports, about 10 ms in a cold process.  No other
-# case loads either.
-DATACLASS_CASES = {"dcnet_trace"} | {
-    name for name in CASES if name.startswith(("exact_", "sampled_"))
-}
+# The cases that import `anonymity` (every verdict), whose
+# AnonymityVerdict is a dataclass: they load `dataclasses` and the
+# `inspect` it imports, about 10 ms in a cold process.  No other case,
+# the XOR network's trace included, loads either.
+DATACLASS_CASES = {name for name in CASES if name.startswith(("exact_", "sampled_"))}
 
 # Runs the cases named in argv[1] (name -> argv), in that order, with numpy
 # unimportable and prints, for each, '<exit code> <summary line>' or

@@ -19,16 +19,20 @@ from anonsim.protocols import (
     decompose_k,
     prepare_rotated_states,
 )
-from anonsim.dense import (
+from anonsim.rng import RngStream
+
+from dense_oracle import (
     HADAMARD,
+    PAULI_X,
     PAULI_Z,
     DenseState,
+    bell_measure,
     dense_apply_gate,
     fidelity,
     ghz_dense,
+    tensor,
     to_dense,
 )
-from anonsim.rng import RngStream
 
 
 # ------------------------------------------------------------- player setup
@@ -266,10 +270,73 @@ def test_anonq_all_four_correction_branches_occur():
 
 def test_anonq_rejects_unnormalized_input():
     rng = RngStream(67)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normalized"):
         anonq_send(3, 0, 1, (0.5, 0.5), rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normalized"):
+        anonq_send(3, 0, 1, (1e200, 0.0), rng)
+    with pytest.raises(ValueError, match="expected 2 amplitudes, got 3"):
         anonq_send(3, 0, 1, (1.0, 0.0, 0.0), rng)
+    # the qubit is checked before any draw
+    assert rng.uniform() == RngStream(67).uniform()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "qubit",
+    [(float("nan"), 0.0), (1.0, complex(0, float("nan"))), (float("inf"), 0.0),
+     (0.6, complex(0, -float("inf"))), (float("nan"), float("inf"))],
+)
+def test_anonq_rejects_non_finite_input(qubit):
+    rng = RngStream(67)
+    with pytest.raises(ValueError, match="must be finite"):
+        anonq_send(3, 0, 1, qubit, rng)
+    assert rng.uniform() == RngStream(67).uniform()
+
+
+def _dense_anonq_send(n, sender, receiver, qubit, rng):
+    """The teleportation circuit on the dense oracle, drawing from `rng`
+    what anonq_send draws: ae_establish's pair, a Bell measurement of
+    the qubit against the sender's half, the two anonymous broadcasts of
+    its outcome (m0, m1), then Z^m0 and X^m1 on the receiver's half.
+    Returns (m0, m1), the receiver's amplitudes, transcript and ledger."""
+    pair, transcript, ledger = ae_establish(n, sender, receiver, rng)
+    # qubit 0: input, qubit 1: sender's half, qubit 2: receiver's half
+    m0, m1, post = bell_measure(tensor(DenseState(1, qubit), to_dense(pair)), 0, 1, rng)
+    for bit in (m0, m1):
+        _, t, l = anon_send(n, sender, bit, rng)
+        transcript.extend(t)
+        ledger.extend(l)
+    if transcript.round_parity(1):
+        post = dense_apply_gate(post, PAULI_Z, (2,))
+    if transcript.round_parity(2):
+        post = dense_apply_gate(post, PAULI_X, (2,))
+    base = m0 | (m1 << 1)
+    return (m0, m1), post.amplitudes[[base, base | 4]], transcript, ledger
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_anonq_matches_dense_teleport_oracle(n):
+    gen = np.random.default_rng(100 + n)
+    fixed = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (-0.8j, 0.6)]
+    outcomes = set()
+    for seed in range(200):
+        if seed < len(fixed):
+            qubit = fixed[seed]
+        else:
+            raw = gen.normal(size=2) + 1j * gen.normal(size=2)
+            qubit = tuple(raw / np.linalg.norm(raw))
+        sender, receiver = (int(p) for p in gen.choice(n, 2, replace=False))
+        received, transcript, ledger = anonq_send(
+            n, sender, receiver, qubit, RngStream(seed, n)
+        )
+        bell, expected, oracle_transcript, oracle_ledger = _dense_anonq_send(
+            n, sender, receiver, qubit, RngStream(seed, n)
+        )
+        outcomes.add(bell)
+        assert transcript.to_json() == oracle_transcript.to_json()
+        assert ledger.to_json() == oracle_ledger.to_json()
+        assert abs(np.vdot(expected, received)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert outcomes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_anonq_withholding_aborts():

@@ -11,7 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonsim.dense import (
+from anonsim.protocols import ae_establish
+from anonsim.qsim import (
+    GhzPhaseState,
+    apply_phase_flip,
+    apply_rz,
+    epr_fidelity,
+    hadamard_measure_all,
+    hadamard_measure_subset,
+    make_ghz,
+    parity_odd_probability,
+)
+from anonsim.rng import RngStream
+
+from dense_oracle import (
     CNOT,
     HADAMARD,
     PAULI_X,
@@ -29,18 +42,6 @@ from anonsim.dense import (
     tensor,
     to_dense,
 )
-from anonsim.protocols import ae_establish
-from anonsim.qsim import (
-    GhzPhaseState,
-    apply_phase_flip,
-    apply_rz,
-    epr_fidelity,
-    hadamard_measure_all,
-    hadamard_measure_subset,
-    make_ghz,
-    parity_odd_probability,
-)
-from anonsim.rng import RngStream
 
 
 def _phase_state(n: int, numerator: int, denom_exp: int) -> GhzPhaseState:
