@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "anonymity": (
-        "AdversaryView",
         "AnonymityVerdict",
-        "adversary_view",
         "anonymity_verdict",
         "traceless_verdict",
     ),
@@ -48,7 +46,6 @@ _EXPORTS = {
     "qsim": (
         "GhzPhaseState",
         "MeasurementRecord",
-        "ResidualPair",
         "apply_phase_flip",
         "apply_rz",
         "epr_fidelity",

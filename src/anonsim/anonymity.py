@@ -20,10 +20,14 @@ Every protocol the verdicts judge is registered in PROTOCOLS with its
 run function, its exact posterior and its input check, and in
 `sampling.SAMPLERS` with its batched sampler.  Exact mode is rational
 arithmetic and never loads numpy.  Each GHZ protocol lists its rounds
-there: one run's independent broadcast rounds, each a map from
-per-player bits to a probability, which is also the distribution of
-everyone's recorded draws.  Exact mode enumerates their joint outcomes
-into view distributions, built through the one redaction, `_redact`.
+there, one run's independent broadcast rounds, each as the probability
+that its outcome parity is odd: the outcome strings are uniform within
+each parity class, and only the parity can carry the secret.  In these
+protocols a player's recorded draw in a round is the bit they
+broadcast.  Exact mode expands each round into its map from per-player
+bits to a probability (`_parity_round`) and enumerates the rounds'
+joint outcomes into view distributions, built through the one
+redaction, `_redact`.
 For the XOR network it is the closed form of Chaum's argument: with d = 1
 the adversary learns which block of players it cannot split holds the
 sender, and nothing more; the tests check it against enumerating every
@@ -52,9 +56,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .keygraph import KeySharingGraph, components, is_connected
 from .protocols import (
-    RandomnessLedger,
     Run,
-    Transcript,
     _validate_bit,
     _validate_group,
     _validate_players,
@@ -63,7 +65,7 @@ from .protocols import (
     anonq_send,
     dcnet_send,
 )
-from .qsim import apply_phase_flip, make_ghz
+from .qsim import apply_rz, make_ghz
 from .rng import RngStream
 
 ENUM_PLAYER_LIMIT = 12
@@ -71,37 +73,6 @@ ANONQ_ENUM_PLAYER_LIMIT = 6
 
 DEFAULT_SAMPLED_TRIALS = 10_000
 DEFAULT_TV_TOLERANCE = 0.05
-
-
-class AdversaryView(NamedTuple):
-    """What an adversary gets to see of one run.
-
-    `messages` mirrors the transcript rounds; `randomness` lists, for
-    each watched player, the raw values of their recorded draws.  Names,
-    roles and data items never appear here: views are built by redaction
-    from full run records.
-    """
-
-    corrupted: tuple[int, ...]
-    hijacked_all: bool
-    messages: tuple[tuple[tuple[int, str], ...], ...]
-    randomness: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def key(self) -> tuple:
-        return (self.messages, self.randomness)
-
-    def to_json(self) -> dict:
-        return {
-            "corrupted": list(self.corrupted),
-            "hijacked_all": self.hijacked_all,
-            "messages": [
-                [{"player": p, "bits": bits} for p, bits in rnd]
-                for rnd in self.messages
-            ],
-            "randomness": {
-                str(p): list(values) for p, values in self.randomness
-            },
-        }
 
 
 def _redact(
@@ -121,67 +92,23 @@ def _redact(
     )
 
 
-def adversary_view(
-    transcript: Transcript,
-    ledger: RandomnessLedger,
-    corrupted: Iterable[int],
-    *,
-    hijacked_all: bool = False,
-) -> AdversaryView:
-    """Redact a run record down to what the adversary observes."""
-    corrupted = tuple(sorted(set(corrupted)))
-    n = transcript.n
-    _validate_players(n, "corrupted player", corrupted)
-    if len(corrupted) > n - 2:
-        raise ValueError(
-            f"at most n-2={n - 2} corrupted players are modeled, got {len(corrupted)}"
-        )
-    watchers = tuple(range(n)) if hijacked_all else corrupted
-    messages, randomness = _redact(transcript.rounds, ledger.values, watchers)
-    return AdversaryView(corrupted, hijacked_all, messages, randomness)
+def _parity_round(n: int, odd: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """One GHZ round keyed by per-player bits, from P(odd parity).
 
-
-def _broadcast_round(n: int, sender: int, d: int) -> dict[tuple[int, ...], Fraction]:
-    """One anonymous broadcast of d, keyed by per-player bits.
-
-    The support is the outcome strings whose parity equals d, each with
-    probability 1/2^(n-1).  The parity is derived through the protocol
-    semantics, by applying the sender's flip to a GHZ state, so the
-    sender index genuinely drops out.
+    After the Hadamards the outcome strings are uniform within each
+    parity class (see `qsim`): the first n - 1 bits are free and the
+    last one sets the parity, so each of a class's 2^(n-1) strings gets
+    the class's probability over 2^(n-1).  A class of probability 0 is
+    left out.
     """
-    state = make_ghz(n)
-    if d == 1:
-        state = apply_phase_flip(state, sender)
-    target_parity = 1 if state.is_phase_pi() else 0
-    prob = Fraction(1, 1 << (n - 1))
-    return {
-        bits: prob
-        for bits in product((0, 1), repeat=n)
-        if (sum(bits) & 1) == target_parity
-    }
-
-
-def _uniform_round(n: int) -> dict[tuple[int, ...], Fraction]:
-    """The entanglement protocol's round, keyed by per-player bits.
-
-    Asserted, not derived: every assignment gets probability 1/2^n,
-    because the measurement outcomes, the sender's coin and the
-    receiver's decoy are all uniform and independent.
-    """
-    prob = Fraction(1, 1 << n)
-    return {bits: prob for bits in product((0, 1), repeat=n)}
-
-
-def _announce_round(n: int, sender: int) -> dict[tuple[int, ...], Fraction]:
-    """One anonymous broadcast of a uniform bit: the half-and-half mix of
-    broadcasting 0 and 1.  The qubit transfer announces each of its Bell
-    outcomes, independent uniform bits, this way."""
-    half = Fraction(1, 2)
-    return {
-        bits: half * prob
-        for m in (0, 1)
-        for bits, prob in _broadcast_round(n, sender, m).items()
-    }
+    size = 1 << (n - 1)
+    dist = {}
+    for parity, mass in enumerate((1 - odd, odd)):
+        if mass:
+            weight = Fraction(mass, size)
+            for lead in product((0, 1), repeat=n - 1):
+                dist[lead + ((sum(lead) + parity) & 1,)] = weight
+    return dist
 
 
 def _broadcast_outcomes(
@@ -261,7 +188,10 @@ class ProtocolSpec(NamedTuple):
     draws of the watched players.  `check(n, target, graph)` raises
     ValueError on inputs the protocol cannot judge, before either mode
     runs.  A GHZ protocol's `exact` is `_enumerated` over its round
-    list.  The protocol's batched sampler is `sampling.SAMPLERS[name]`.
+    list, one odd-parity probability per round: anon's is 0 or 1, from
+    the sender's flip of a fresh GHZ state; every round of ae and anonq
+    is uniform bits, 1/2.  The protocol's batched sampler is
+    `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
@@ -271,13 +201,13 @@ class ProtocolSpec(NamedTuple):
 
 def _enumerated(
     limit: int,
-    rounds: Callable[[Roles], list[Mapping[tuple[int, ...], Fraction]]],
+    odds: Callable[[Roles], list[Fraction]],
     cast: Mapping[int, Roles],
     watchers: Sequence[int],
 ) -> Fraction:
-    """`exact` of a GHZ protocol from its model: `rounds(roles)` lists
-    one run's independent broadcast rounds, each a map from per-player
-    bits to a probability.  Groups of more than `limit` players are
+    """`exact` of a GHZ protocol from its model: `odds(roles)` lists one
+    run's independent broadcast rounds, each as the probability that its
+    outcome parity is odd.  Groups of more than `limit` players are
     refused before any round is built."""
     n = next(iter(cast.values())).n
     if n > limit:
@@ -286,37 +216,38 @@ def _enumerated(
             "use sampled mode for larger groups"
         )
     return _bayes_posterior_max(_exact_view_dists(
-        lambda roles: _broadcast_outcomes(n, rounds(roles)), cast, watchers
+        lambda roles: _broadcast_outcomes(
+            n, [_parity_round(n, odd) for odd in odds(roles)]
+        ),
+        cast, watchers,
     ))
 
 
 # the view of a qubit transfer does not depend on the qubit sent
 _ANONQ_QUBIT = (0.6, 0.8)
 
+# a round of uniform bits: the entanglement round's measurements, coin
+# and decoy, and each anonymous announcement of a uniform Bell outcome
+_HALF = Fraction(1, 2)
+
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
         lambda r, rng: anon_send(r.n, r.sender, r.d, rng),
         partial(
             _enumerated, ENUM_PLAYER_LIMIT,
-            lambda r: [_broadcast_round(r.n, r.sender, r.d)],
+            # the sender's flip, a Z rotation by d * pi, of a fresh GHZ state
+            lambda r: [int(apply_rz(make_ghz(r.n), r.sender, r.d, 0).is_phase_pi())],
         ),
         _ghz_check,
     ),
     "ae": ProtocolSpec(
         lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
-        partial(_enumerated, ENUM_PLAYER_LIMIT, lambda r: [_uniform_round(r.n)]),
+        partial(_enumerated, ENUM_PLAYER_LIMIT, lambda r: [_HALF]),
         _ghz_check,
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
-        partial(
-            _enumerated, ANONQ_ENUM_PLAYER_LIMIT,
-            lambda r: [
-                _uniform_round(r.n),
-                _announce_round(r.n, r.sender),
-                _announce_round(r.n, r.sender),
-            ],
-        ),
+        partial(_enumerated, ANONQ_ENUM_PLAYER_LIMIT, lambda r: [_HALF] * 3),
         _ghz_check,
     ),
     "dcnet": ProtocolSpec(
@@ -443,6 +374,8 @@ def anonymity_verdict(
         raise ValueError(f"unknown protocol: {protocol!r}")
     if target not in ("sender", "receiver"):
         raise ValueError(f"target must be 'sender' or 'receiver', got {target!r}")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got t={t}")
     spec.check(n, target, graph)
     _validate_bit(d)
     if mode not in ("exact", "sampled"):

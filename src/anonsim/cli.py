@@ -192,17 +192,13 @@ def cmd_anonq(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
     qubit = _parse_qubit(args.alpha, args.beta)
     run = protocols.anonq_send(args.n, args.sender, args.receiver, qubit, rng)
-    config = {"sender": args.sender, "receiver": args.receiver}
-    if run.output is None:
-        return _record_run(
-            args, "anonq", args.n, run, {"aborted": True}, config, [("aborted", True)]
-        )
     overlap = sum(a.conjugate() * b for a, b in zip(qubit, run.output))
     transfer_fidelity = abs(overlap) ** 2
     return _record_run(
         args, "anonq", args.n, run,
         {"fidelity": transfer_fidelity, "aborted": False},
-        {**config, "alpha": args.alpha, "beta": args.beta},
+        {"sender": args.sender, "receiver": args.receiver,
+         "alpha": args.alpha, "beta": args.beta},
         [("fidelity", f"{transfer_fidelity:.12f}")],
     )
 

@@ -27,12 +27,13 @@ class _GraphFields(NamedTuple):
 class KeySharingGraph(_GraphFields):
     """Undirected simple graph with nodes 0..num_nodes-1.
 
-    Edges are stored as (i, j) pairs with i < j.
+    Edges are stored as a frozenset of (i, j) pairs with i < j.
     """
 
     __slots__ = ()
 
-    def __new__(cls, num_nodes: int, edges: frozenset[tuple[int, int]]):
+    def __new__(cls, num_nodes: int, edges: Iterable[tuple[int, int]]):
+        edges = frozenset(edges)
         if num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {num_nodes}")
         for e in edges:
@@ -84,11 +85,6 @@ class KeySharingGraph(_GraphFields):
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def with_edge(self, i: int, j: int) -> "KeySharingGraph":
-        return KeySharingGraph.from_edges(
-            self.num_nodes, set(self.edges) | {(min(i, j), max(i, j))}
-        )
 
 
 def components(g: KeySharingGraph, nodes: Optional[Iterable[int]] = None) -> list[list[int]]:
@@ -285,12 +281,7 @@ def from_adjacency_json(obj: dict) -> KeySharingGraph:
     return KeySharingGraph.from_edges(n, edges)
 
 
-def to_edge_list_text(g: KeySharingGraph) -> str:
-    """One 'i j' pair per line, sorted; isolated nodes are not encoded."""
-    return "".join(f"{i} {j}\n" for i, j in sorted(g.edges))
-
-
-def from_edge_list_text(text: str, num_nodes: Optional[int] = None) -> KeySharingGraph:
+def from_edge_list_text(text: str) -> KeySharingGraph:
     edges = set()
     highest = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -303,14 +294,13 @@ def from_edge_list_text(text: str, num_nodes: Optional[int] = None) -> KeySharin
         i, j = int(parts[0]), int(parts[1])
         edges.add((min(i, j), max(i, j)))
         highest = max(highest, i, j)
-    n = (highest + 1) if num_nodes is None else num_nodes
-    return KeySharingGraph.from_edges(n, edges)
+    return KeySharingGraph.from_edges(highest + 1, edges)
 
 
-def load_graph(path: str, num_nodes: Optional[int] = None) -> KeySharingGraph:
+def load_graph(path: str) -> KeySharingGraph:
     """Read a graph from an adjacency .json file or an edge-list text file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
         return from_adjacency_json(json.loads(text))
-    return from_edge_list_text(text, num_nodes=num_nodes)
+    return from_edge_list_text(text)

@@ -259,11 +259,10 @@ def ae_establish(
 
     state = make_ghz(n)
     measured = tuple(p for p in range(n) if p not in (sender, receiver))
-    record, residual = hadamard_measure_subset(state, measured, rng)
+    record, pair = hadamard_measure_subset(state, measured, rng)
     b = rng.bit()
     b_prime = rng.bit()
 
-    pair = residual.state
     if b == 1:
         pair = apply_phase_flip(pair, 0)
     if (b ^ record.parity) == 1:
@@ -296,8 +295,6 @@ def anonq_send(
     receiver: int,
     qubit: Sequence[complex],
     rng: RngStream,
-    *,
-    withholders: Iterable[int] = (),
 ) -> Run:
     """Teleport an arbitrary qubit from a hidden sender to a hidden receiver.
 
@@ -305,7 +302,7 @@ def anonq_send(
     the input qubit against their half and announces the two outcome bits
     m0 (phase) and m1 (bit flip) with two anonymous broadcasts.  The
     receiver applies Z^m0 then X^m1.  The output is the received
-    amplitudes, None if any stage aborted.
+    amplitudes.
 
     The pair ae_establish leaves is exactly (|00> + |11>)/sqrt(2), so the
     four Bell outcomes are equally likely whatever the qubit, and after
@@ -315,12 +312,7 @@ def anonq_send(
     the sent ones.
     """
     sent = _check_qubit(qubit)
-    pair, transcript, ledger = ae_establish(
-        n, sender, receiver, rng, withholders=withholders
-    )
-    if pair is None:
-        return Run(None, transcript, ledger)
-
+    _, transcript, ledger = ae_establish(n, sender, receiver, rng)
     outcome = int(4 * rng.uniform())
     for bit in (outcome >> 1, outcome & 1):
         _, t, l = anon_send(n, sender, bit, rng)

@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .rng import RngStream
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -63,13 +60,6 @@ class GhzPhaseState(_GhzPhaseFields):
     def _make(cls, iterable):
         """Build through the checks above; `_replace` calls this too."""
         return cls(*iterable)
-
-    @property
-    def phase_fraction(self) -> Fraction:
-        """Relative phase in units of pi, exact, in [0, 2)."""
-        from fractions import Fraction
-
-        return Fraction(self.phase_numerator, 1 << self.phase_denom_exp)
 
     @property
     def phase_radians(self) -> float:
@@ -151,19 +141,8 @@ class MeasurementRecord(NamedTuple):
     outcomes: tuple[int, ...]
 
     @property
-    def hamming_weight(self) -> int:
-        return sum(self.outcomes)
-
-    @property
     def parity(self) -> int:
-        return self.hamming_weight & 1
-
-
-class ResidualPair(NamedTuple):
-    """Two-qubit GHZ-manifold state left behind by a partial measurement."""
-
-    state: GhzPhaseState
-    holders: tuple[int, int]
+        return sum(self.outcomes) & 1
 
 
 def parity_odd_probability(state: GhzPhaseState) -> float:
@@ -195,13 +174,14 @@ def hadamard_measure_all(state: GhzPhaseState, rng: RngStream) -> MeasurementRec
 
 def hadamard_measure_subset(
     state: GhzPhaseState, measured: tuple[int, ...] | list[int], rng: RngStream
-) -> tuple[MeasurementRecord, ResidualPair]:
+) -> tuple[MeasurementRecord, GhzPhaseState]:
     """Hadamard-and-measure all but two qubits of a GHZ-manifold state.
 
     Outcomes on the measured qubits are uniform.  The two remaining
     qubits are left in (|00> + exp(i*(phi + |x|*pi))|11>)/sqrt(2) where
-    |x| is the Hamming weight of the outcome string.  The record's
-    outcomes are ordered by measured qubit index.
+    |x| is the Hamming weight of the outcome string.  Returns the
+    record, its outcomes ordered by measured qubit index, and that
+    two-qubit residual state.
     """
     n = state.num_qubits
     measured = tuple(sorted(measured))
@@ -215,9 +195,8 @@ def hadamard_measure_subset(
         _check_player(state, q)
     outcomes = rng.bits(n - 2)
     record = MeasurementRecord(outcomes)
-    holders = tuple(q for q in range(n) if q not in measured)
     bump = record.parity << state.phase_denom_exp
     residual = GhzPhaseState(
         2, state.phase_numerator + bump, state.phase_denom_exp
     )
-    return record, ResidualPair(residual, (holders[0], holders[1]))
+    return record, residual

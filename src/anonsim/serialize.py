@@ -10,12 +10,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from importlib import resources
 
 from .protocols import RandomnessLedger, Transcript
-
-RUN_RECORD_SCHEMA = "run_record.schema.json"
-VERDICT_REPORT_SCHEMA = "verdict_report.schema.json"
 
 
 def run_record(
@@ -65,10 +61,3 @@ def write_text(path: str, text: str) -> None:
 
 def write_json(path: str, obj: dict) -> None:
     write_text(path, dumps(obj))
-
-
-def schema_text(name: str) -> str:
-    """Contents of a shipped schema file (see schemas/)."""
-    return (
-        resources.files("anonsim").joinpath("schemas").joinpath(name).read_text()
-    )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from anonsim.anonymity import _broadcast_round, traceless_verdict
+from anonsim.anonymity import PROTOCOLS, Roles, _parity_round, traceless_verdict
 from anonsim.keygraph import (
     KeySharingGraph,
     is_partitioning_set,
@@ -70,6 +70,13 @@ def criterion(number: int, label: str):
 
 def _stream(*coords) -> RngStream:
     return RngStream(SEED, derive_stream_id(SEED, *coords))
+
+
+def _anon_round(n: int, sender: int, d: int) -> dict:
+    """anon's one broadcast round as the exact verdicts model it."""
+    _, odds = PROTOCOLS["anon"].exact.args
+    (odd,) = odds(Roles(n, sender, (sender + 1) % n, d, None))
+    return _parity_round(n, odd)
 
 
 def test_01_anon_broadcast_correctness():
@@ -156,7 +163,7 @@ def test_06_broadcast_is_traceless():
     with criterion(6, "traceless broadcast"):
         for n in range(3, 9):
             for d in (0, 1):
-                maps = [_broadcast_round(n, s, d) for s in range(n)]
+                maps = [_anon_round(n, s, d) for s in range(n)]
                 assert all(m == maps[0] for m in maps)
         for n in range(3, 9):
             for t in (0, n - 2):
@@ -228,8 +235,8 @@ def test_10_collusion_leaves_candidates_even():
         for n in (4, 6):
             # the two honest candidates: players 0 and 1 stay honest
             d = 1
-            dist_a = _broadcast_round(n, 0, d)
-            dist_b = _broadcast_round(n, 1, d)
+            dist_a = _anon_round(n, 0, d)
+            dist_b = _anon_round(n, 1, d)
             views = set(dist_a) | set(dist_b)
             for view in views:
                 pa = dist_a.get(view, Fraction(0))

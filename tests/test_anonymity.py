@@ -14,22 +14,23 @@ import pytest
 from anonsim.anonymity import (
     DEFAULT_SAMPLED_TRIALS,
     PROTOCOLS,
-    AdversaryView,
     Roles,
     _bayes_posterior_max,
     _broadcast_outcomes,
-    _broadcast_round,
     _cast,
     _exact_view_dists,
+    _parity_round,
     _redact,
-    adversary_view,
     anonymity_verdict,
     traceless_verdict,
 )
 from anonsim.keygraph import KeySharingGraph, is_connected, tolerance
 from anonsim.protocols import anon_send, dcnet_send, trace_attack, xor_pass
+from anonsim.qsim import GhzPhaseState
 from anonsim.rng import RngStream
 from anonsim.sampling import SAMPLERS, _row_codes, view_counts
+
+from dense_oracle import apply_hadamard_all, to_dense
 
 
 def tv_distance(p, q):
@@ -74,14 +75,14 @@ def _dcnet_outcomes(r: Roles):
 
 def _round_list(protocol: str):
     """A GHZ protocol's exact model in PROTOCOLS: roles -> one run's list
-    of independent broadcast rounds."""
-    _, rounds = PROTOCOLS[protocol].exact.args
-    return rounds
+    of independent broadcast rounds, each as its odd-parity probability."""
+    _, odds = PROTOCOLS[protocol].exact.args
+    return odds
 
 
 def _ghz_outcomes(protocol: str):
-    rounds = _round_list(protocol)
-    return lambda r: _broadcast_outcomes(r.n, rounds(r))
+    odds = _round_list(protocol)
+    return lambda r: _broadcast_outcomes(r.n, [_parity_round(r.n, p) for p in odds(r)])
 
 
 OUTCOMES = {
@@ -217,13 +218,36 @@ def test_dcnet_exact_verdict_passes_iff_t_within_tolerance():
 
 
 def test_anon_distribution_support_and_mass():
+    rounds = _round_list("anon")
     for n in (3, 4, 5):
         for d in (0, 1):
-            dist = _broadcast_round(n, 0, d)
+            (odd,) = rounds(Roles(n, 0, 1, d, None))
+            dist = _parity_round(n, odd)
             assert len(dist) == 1 << (n - 1)
             assert sum(dist.values()) == 1
             assert all(sum(bits) % 2 == d for bits in dist)
             assert set(dist.values()) == {Fraction(1, 1 << (n - 1))}
+
+
+def test_parity_rounds_match_the_dense_circuit():
+    # phase 0, pi and pi/2 leave the parity odd with probability 0, 1, 1/2
+    for n in range(3, 7):
+        for odd, phase in ((0, (0, 0)), (1, (1, 0)), (Fraction(1, 2), (1, 1))):
+            probs = apply_hadamard_all(to_dense(GhzPhaseState(n, *phase))).probabilities()
+            # player p's bit is bit p of the amplitude index
+            circuit = {
+                tuple((index >> p) & 1 for p in range(n)): prob
+                for index, prob in enumerate(probs)
+            }
+            model = _parity_round(n, odd)
+            assert set(model) <= set(circuit)
+            for bits, prob in circuit.items():
+                assert abs(float(model.get(bits, 0)) - prob) <= 1e-12, (n, odd, bits)
+    # anon's one round is odd exactly when it sends a 1, whoever sends
+    odds = _round_list("anon")
+    for n in range(3, 7):
+        for sender, d in itertools.product(range(n), (0, 1)):
+            assert odds(Roles(n, sender, (sender + 1) % n, d, None)) == [d]
 
 
 def test_round_lists_are_candidate_invariant():
@@ -241,7 +265,8 @@ def test_ae_distribution_uniform_and_pair_invariant():
     rounds = _round_list("ae")
     reference = None
     for sender, receiver in itertools.permutations(range(n), 2):
-        (dist,) = rounds(Roles(n, sender, receiver, 1, None))
+        (odd,) = rounds(Roles(n, sender, receiver, 1, None))
+        dist = _parity_round(n, odd)
         assert len(dist) == 1 << n
         assert sum(dist.values()) == 1
         assert set(dist.values()) == {Fraction(1, 1 << n)}
@@ -274,6 +299,18 @@ def test_verdict_rejects_non_bit_data():
             )
 
 
+def test_verdict_rejects_negative_t():
+    graph = KeySharingGraph.complete(4)
+    for protocol, mode, colluders in itertools.product(
+        ("anon", "ae", "anonq", "dcnet"), ("exact", "sampled"), (None, (3,))
+    ):
+        with pytest.raises(ValueError, match="t must be nonnegative, got t=-1"):
+            anonymity_verdict(
+                protocol, 4, t=-1, colluders=colluders, mode=mode, trials=10,
+                rng=RngStream(0), graph=graph if protocol == "dcnet" else None,
+            )
+
+
 def test_tv_distance_basics():
     p = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
     assert tv_distance(p, p) == 0
@@ -287,44 +324,31 @@ def test_tv_distance_basics():
 
 
 def test_adversary_view_redacts_names_and_roles():
-    rng = RngStream(19)
-    _, transcript, ledger = anon_send(5, 2, 1, rng)
-    view = adversary_view(transcript, ledger, (0, 4))
-    text = json.dumps(view.to_json())
-    for word in ("role", "coin", "decoy", "measurement", "data"):
-        assert word not in text
-    assert view.corrupted == (0, 4)
-    assert [p for p, _ in view.randomness] == [0, 4]
+    # every ledger names its draws, and the roles are the secrets
+    for protocol, graph in (
+        ("anon", None), ("ae", None), ("anonq", None),
+        ("dcnet", KeySharingGraph.complete(5)),
+    ):
+        roles = Roles(5, 2, 3, 1, graph)
+        _, transcript, ledger = PROTOCOLS[protocol].run(roles, RngStream(19))
+        view = _redact(transcript.rounds, ledger.values, (0, 4))
+        text = json.dumps(view)
+        for word in ("role", "coin", "decoy", "measurement", "key", "data", "sender"):
+            assert word not in text, protocol
+        messages, randomness = view
+        assert [p for p, _ in randomness] == [0, 4]
+        assert len(messages) == len(transcript.rounds)
 
 
 def test_adversary_view_hijack_watches_everyone():
     rng = RngStream(19)
     _, transcript, ledger = anon_send(4, 1, 0, rng)
-    view = adversary_view(transcript, ledger, (2,), hijacked_all=True)
-    assert [p for p, _ in view.randomness] == [0, 1, 2, 3]
-    assert view.hijacked_all
+    messages, randomness = _redact(transcript.rounds, ledger.values, range(4))
+    assert [p for p, _ in randomness] == [0, 1, 2, 3]
     # the watched values are exactly the broadcast bits for this protocol
-    bits = {p: int(b) for p, b in view.messages[0]}
-    for p, values in view.randomness:
+    bits = {p: int(b) for p, b in messages[0]}
+    for p, values in randomness:
         assert values == (bits[p],)
-
-
-def test_adversary_view_rejects_oversized_coalitions():
-    rng = RngStream(19)
-    _, transcript, ledger = anon_send(4, 1, 0, rng)
-    with pytest.raises(ValueError):
-        adversary_view(transcript, ledger, (0, 1, 2))
-    with pytest.raises(ValueError):
-        adversary_view(transcript, ledger, (9,))
-
-
-def test_adversary_view_key_is_hashable_and_stable():
-    rng = RngStream(19)
-    _, transcript, ledger = anon_send(4, 1, 0, rng)
-    v1 = adversary_view(transcript, ledger, (0,))
-    v2 = adversary_view(transcript, ledger, (0,))
-    assert v1.key() == v2.key()
-    assert {v1.key(): 1}[v2.key()] == 1
 
 
 # ----------------------------------------------------------------- verdicts
@@ -513,8 +537,7 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     rng = RngStream(5)
     for _ in range(40):
         _, transcript, ledger = spec.run(roles, rng)
-        view = adversary_view(transcript, ledger, (), hijacked_all=True)
-        assert view.key() in exact
+        assert _redact(transcript.rounds, ledger.values, everyone) in exact
     exact_rows = {_flat(view) for view in exact}
     rows = SAMPLERS[protocol](roles, everyone, 200, rng)
     assert rows.dtype == np.uint8
@@ -622,9 +645,3 @@ def test_sampled_anonq_n4_runs_default_trials_quickly():
     elapsed = time.perf_counter() - start
     assert verdict.trials == DEFAULT_SAMPLED_TRIALS
     assert elapsed < 2.0
-
-
-def test_adversary_view_dataclass_is_frozen():
-    view = AdversaryView((0,), False, (), ())
-    with pytest.raises(Exception):
-        view.corrupted = (1,)

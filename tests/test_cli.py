@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import anonsim
 from anonsim import serialize
 from anonsim.anonymity import PROTOCOLS
 from anonsim.cli import (
@@ -19,8 +21,11 @@ from anonsim.cli import (
 )
 from anonsim.sampling import SAMPLERS
 
-RUN_SCHEMA = json.loads(serialize.schema_text(serialize.RUN_RECORD_SCHEMA))
-VERDICT_SCHEMA = json.loads(serialize.schema_text(serialize.VERDICT_REPORT_SCHEMA))
+SCHEMAS = Path(anonsim.__file__).parent / "schemas"
+RUN_SCHEMA = json.loads((SCHEMAS / "run_record.schema.json").read_text(encoding="utf-8"))
+VERDICT_SCHEMA = json.loads(
+    (SCHEMAS / "verdict_report.schema.json").read_text(encoding="utf-8")
+)
 
 
 def _run(capsys, *argv):
@@ -493,6 +498,21 @@ def test_verdict_sampled_ae_wider_than_a_byte(tmp_path, capsys, args):
     )
     assert code in (EXIT_OK, EXIT_VERDICT), stderr
     jsonschema.validate(_load(out), VERDICT_SCHEMA)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("protocol", VERDICT_PROTOCOLS)
+def test_verdict_rejects_negative_t(tmp_path, capsys, protocol, mode):
+    # the report schema allows t >= 0 only
+    assert VERDICT_SCHEMA["properties"]["t"]["minimum"] == 0
+    graph = ["--graph", "complete:4"] if protocol == "dcnet" else []
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", protocol, "--n", "4", "--t", "-1", *graph,
+        "--mode", mode, "--trials", "50", "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert stderr == "error: t must be nonnegative, got t=-1\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -339,13 +339,6 @@ def test_anonq_matches_dense_teleport_oracle(n):
     assert outcomes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-def test_anonq_withholding_aborts():
-    rng = RngStream(71)
-    received, transcript, _ = anonq_send(4, 0, 3, (1.0, 0.0), rng, withholders=(1,))
-    assert received is None
-    assert transcript.aborted
-
-
 # ---------------------------------------------------------------- collision
 
 
@@ -358,7 +351,7 @@ def test_prepare_rotated_states_shapes():
             assert s.num_qubits == n
             assert s.phase_denom_exp == j_max
             # phase -pi/2^j, stored mod 2 pi
-            assert s.phase_fraction == Fraction(-1, 1 << j) % 2
+            assert Fraction(s.phase_numerator, 1 << j_max) == Fraction(-1, 1 << j) % 2
 
 
 def test_prepare_rotated_states_example():
