@@ -143,6 +143,7 @@ class Roles(NamedTuple):
 
 
 def _dcnet_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
+    _validate_group(n)
     if target != "sender":
         raise ValueError("the XOR network models sender anonymity only")
     if graph is None:

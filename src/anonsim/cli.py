@@ -273,7 +273,7 @@ def cmd_verdict(args) -> int:
     from . import anonymity
 
     graph = _parse_graph(args.graph) if args.graph else None
-    rng = RngStream(args.seed, args.stream_id) if args.mode == "sampled" else None
+    rng = RngStream(args.seed) if args.mode == "sampled" else None
     kwargs = dict(
         target=args.target,
         t=args.t,
@@ -481,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traceless", action="store_true",
                    help="adversary reads every player's randomness")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verdict)
 

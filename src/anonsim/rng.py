@@ -29,9 +29,13 @@ port mirrors these numpy internals:
 `RngStream.draw_blocks` replays many repetitions of a fixed pattern of
 uniform()/bit() calls from one read of numpy's raw 64-bit words, so
 batched sampled verdicts see exactly the values, and leave the stream in
-exactly the state, of the scalar calls.  It is the only code here that
-loads numpy.  It draws at most BLOCK_TRIALS repetitions at a time, so
-its memory is bounded whatever the count.
+exactly the state, of the scalar calls.  Every U takes a word, and a B
+the buffered half if there is one, else a fresh word's low half; so the
+words repeat with a period of one repetition, or two when an odd number
+of Bs makes the buffer alternate, and their layout is worked out once
+per period, not once per draw.  It is the only code here that loads
+numpy, and it draws at most BLOCK_TRIALS repetitions at a time, so its
+memory is bounded whatever the count.
 """
 
 from __future__ import annotations
@@ -230,11 +234,13 @@ class RngStream:
         the stream is left in, are those of making the same scalar calls
         in the same order.
 
-        Each block loads this stream's state into a numpy PCG64 bit
-        generator, reads its raw 64-bit words, and writes the state
-        back.  Every U takes one word.  B takes the buffered half when
-        there is one, else a fresh word's low half, buffering its high
-        half; bit() is the top bit of a half.
+        Each block works out one period's word layout (module docstring):
+        column c >= 1 is the period's c-th raw word, a U reads a column
+        and a B a column's low or high half.  A B that reads the half
+        buffered before its period reads column 0, the previous period's
+        last half-split word (for the first period, the stream's buffered
+        half).  The block's words fill a periods x (1 + words) matrix,
+        and the Us and the Bs are one column gather each.
         """
         import numpy as np
 
@@ -242,39 +248,48 @@ class RngStream:
             raise ValueError(f"trial count must be nonnegative, got {trials}")
         if set(pattern) - {"U", "B"}:
             raise ValueError(f"draw pattern takes only 'U' and 'B', got {pattern!r}")
-        is_u = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8) == ord("U")
+        reps = 1 + pattern.count("B") % 2
         if self._bitgen is None:
             self._bitgen = np.random.PCG64(0)
-        bitgen = self._bitgen
         for start in range(0, trials, BLOCK_TRIALS):
             count = min(BLOCK_TRIALS, trials - start)
-            buffered = int(self._has_half)
-            flat_u = np.tile(is_u, count)
-            b_at = np.flatnonzero(~flat_u)
-            # Every U reads a fresh word, and so does every other B past a
-            # buffered half: the B that takes a word's low half.
-            takes_word = flat_u.copy()
-            takes_word[b_at[buffered::2]] = True
-            word_of = np.cumsum(takes_word) - 1
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": self._state, "inc": self._inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            words = bitgen.random_raw(int(takes_word.sum()))
-            self._state = bitgen.state["state"]["state"]
-            uniforms = (words[word_of[flat_u]] >> np.uint64(11)) * 2.0**-53
-            paired = words[word_of[b_at[buffered::2]]]
-            halves = np.empty(buffered + 2 * len(paired), dtype=np.uint64)
-            halves[:buffered] = self._half
-            halves[buffered::2] = paired & np.uint64(_MASK32)
-            halves[buffered + 1 :: 2] = paired >> np.uint64(32)
-            bits = (halves[: len(b_at)] >> np.uint64(31)).astype(np.uint8)
-            self._has_half = len(halves) > len(b_at)
-            if self._has_half:
-                self._half = int(halves[-1])
-            yield uniforms.reshape(count, -1), bits.reshape(count, -1)
+            buffered, width, split = self._has_half, 0, 0
+            u_cols, b_cols, shifts, ends = [], [], [], []
+            for _ in range(reps):
+                for letter in pattern:
+                    if letter == "U":
+                        width += 1
+                        u_cols.append(width)
+                    elif buffered:
+                        b_cols.append(split)
+                        shifts.append(63)
+                        buffered = False
+                    else:
+                        width += 1
+                        b_cols.append(width)
+                        shifts.append(31)
+                        split, buffered = width, True
+                ends.append((width, buffered, split))  # after each repetition
+            periods = -(-count // reps)
+            used, buffered, split = ends[count - (periods - 1) * reps - 1]
+            self._bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                  "state": {"state": self._state, "inc": self._inc}}
+            words = self._bitgen.random_raw((periods - 1) * width + used)
+            self._state = self._bitgen.state["state"]["state"]
+            # a partial last period leaves columns past `used` unset, in rows cut below
+            matrix = np.empty((periods, 1 + width), dtype=np.uint64)
+            matrix[:-1, 1:] = words[: len(words) - used].reshape(periods - 1, width)
+            matrix[-1, 1 : 1 + used] = words[len(words) - used :]
+            matrix[0, 0] = self._half << 32
+            matrix[1:, 0] = matrix[:-1, ends[-1][2]]
+            uniforms = (matrix[:, u_cols] >> np.uint64(11)) * 2.0**-53
+            shifts = np.array(shifts, dtype=np.uint64)
+            bits = ((matrix[:, b_cols] >> shifts) & np.uint64(1)).astype(np.uint8)
+            self._has_half = buffered
+            if buffered and split:  # else no B split a word: the half is as it was
+                self._half = int(matrix[-1, split] >> np.uint64(32))
+            rows = periods * reps
+            yield uniforms.reshape(rows, -1)[:count], bits.reshape(rows, -1)[:count]
 
     def spawn(self, *coords) -> "RngStream":
         """Child stream with an id derived from this stream's address."""

@@ -27,7 +27,7 @@ from anonsim.anonymity import (
 from anonsim.keygraph import KeySharingGraph, is_connected, tolerance
 from anonsim.protocols import anon_send, dcnet_send, trace_attack, xor_pass
 from anonsim.qsim import GhzPhaseState
-from anonsim.rng import RngStream
+from anonsim.rng import BLOCK_TRIALS, RngStream
 from anonsim.sampling import SAMPLERS, _row_codes, view_counts
 
 from dense_oracle import apply_hadamard_all, to_dense
@@ -311,6 +311,16 @@ def test_verdict_rejects_negative_t():
             )
 
 
+def test_dcnet_verdict_needs_three_players():
+    # the report schema, like the GHZ verdicts, takes n >= 3
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError, match="need at least 3 players, got 2"):
+            anonymity_verdict(
+                "dcnet", 2, mode=mode, trials=10, rng=RngStream(0),
+                graph=KeySharingGraph.complete(2),
+            )
+
+
 def test_tv_distance_basics():
     p = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
     assert tv_distance(p, p) == 0
@@ -579,8 +589,22 @@ def _per_trial_views(spec, cast, watchers, trials, rng) -> dict[int, list]:
 @pytest.mark.parametrize("hijack", [False, True])
 @pytest.mark.parametrize("seed", range(5))
 def test_count_matrix_matches_per_trial_runs(protocol, n, target, graph, hijack, seed):
+    _assert_count_matrix_matches_per_trial_runs(protocol, n, target, graph, hijack, seed, 40)
+
+
+def test_count_matrix_matches_per_trial_runs_across_a_block_boundary():
+    # UBBB has an odd number of Bs: the first candidate's odd trial count
+    # leaves half a word buffered, so the second candidate's blocks start,
+    # and cross the block boundary, with a half buffered (colluder 3, d 1)
+    _assert_count_matrix_matches_per_trial_runs(
+        "anon", 4, "sender", None, False, 3, BLOCK_TRIALS + 3
+    )
+
+
+def _assert_count_matrix_matches_per_trial_runs(
+    protocol, n, target, graph, hijack, seed, trials
+):
     spec = PROTOCOLS[protocol]
-    trials = 40
     colluders = () if hijack else (seed % n,)
     candidates = [p for p in range(n) if p not in colluders]
     watchers = tuple(range(n)) if hijack else colluders

@@ -462,6 +462,40 @@ def test_verdict_two_players_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_verdict_dcnet_two_players_is_config_error(tmp_path, capsys, mode):
+    # the report schema takes n >= 3, as the GHZ verdicts do
+    assert VERDICT_SCHEMA["properties"]["n"]["minimum"] == 3
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", "dcnet", "--n", "2", "--graph", "complete:2",
+        "--mode", mode, "--trials", "50", "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert stderr == "error: need at least 3 players, got 2\n"
+    # a two-player XOR network round is still a valid run record
+    code, _, _ = _run(
+        capsys, "dcnet", "--graph", "complete:2", "--sender", "0", "--d", "1",
+        "--seed", "0", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    jsonschema.validate(_load(out), RUN_SCHEMA)
+
+
+def test_verdict_takes_no_stream_id(tmp_path, capsys):
+    # a sampled report records its seed but no stream, so the verdict
+    # command draws from stream 0 only; the run commands keep --stream-id
+    out = tmp_path / "v.json"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "verdict", "--protocol", "anon", "--n", "4", "--traceless", "--mode",
+            "sampled", "--trials", "500", "--stream-id", "5", "--out", str(out),
+        ])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --stream-id 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
 @pytest.mark.parametrize("protocol", ["anon", "ae", "anonq"])
 def test_verdict_ghz_protocol_rejects_a_graph(tmp_path, capsys, protocol, mode):
     out = tmp_path / "v.json"

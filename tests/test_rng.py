@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonsim import rng as rng_module
-from anonsim.rng import RngStream
+from anonsim.rng import BLOCK_TRIALS, RngStream
 
 patterns = st.text(alphabet="UB", max_size=9)
 
@@ -94,6 +94,25 @@ def test_partial_last_block_replays_scalar_calls(seed, pattern, trials, block, l
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK_TRIALS", block)
         _assert_block_replays_scalar(seed, 0, pattern, trials, lead_bits, False)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "UBBB",  # anon n=4: an odd number of Bs
+        "UBBBBBBB",  # anon n=8
+        "BBB",  # ae n=3
+        "BBBBBB",  # dcnet complete:4
+        "BBBB" + "U" + ("U" + "BBB") * 2,  # anonq n=4
+    ],
+)
+@pytest.mark.parametrize(
+    "trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3]
+)
+@pytest.mark.parametrize("lead_bits", [0, 1])
+def test_blocks_of_the_real_size_replay_scalar_calls(pattern, trials, lead_bits):
+    # the samplers' own patterns, next to and across block boundaries
+    _assert_block_replays_scalar(7, 3, pattern, trials, lead_bits, False)
 
 
 def test_blocks_hold_at_most_the_block_constant(monkeypatch):
