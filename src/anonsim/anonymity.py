@@ -24,10 +24,10 @@ there, one run's independent broadcast rounds, each as the probability
 that its outcome parity is odd: the outcome strings are uniform within
 each parity class, and only the parity can carry the secret.  In these
 protocols a player's recorded draw in a round is the bit they
-broadcast.  Exact mode expands each round into its map from per-player
+broadcast, so a GHZ view is the broadcast bits alone, whoever is
+watched.  Exact mode expands each round into its map from per-player
 bits to a probability (`_parity_round`) and enumerates the rounds'
-joint outcomes into view distributions, built through the one
-redaction, `_redact`.
+joint outcomes into each candidate's distribution of views.
 For the XOR network it is the closed form of Chaum's argument: with d = 1
 the adversary learns which block of players it cannot split holds the
 sender, and nothing more; the tests check it against enumerating every
@@ -35,13 +35,13 @@ key assignment.
 
 Sampled mode, the package's one user of numpy, draws all of one
 candidate's trials at once: the sampler lays each trial's view out as
-one row of bits, a one-to-one image of the redacted view, from
-`RngStream.draw_blocks`, which replays the draws of running the
-protocol trial after trial.  The rows of all candidates become one
-candidates x views count matrix, compared by total variation distance.
-Seeded sampled reports are therefore byte-identical to those of running
-and redacting every trial, and memory is bounded per block of trials
-plus one byte per view bit per trial, plus one 8-byte code per trial.
+one row of bits, from `RngStream.draw_blocks`, which replays the draws
+of running the protocol trial after trial.  The rows of all candidates
+become one candidates x views count matrix, compared by total variation
+distance.  Seeded sampled reports are therefore byte-identical to those
+of running every trial and reading its view, and memory is bounded
+per block of trials plus one byte per view bit per trial, plus one
+8-byte code per trial.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, product
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, components, is_connected
 from .protocols import (
@@ -75,23 +75,6 @@ DEFAULT_SAMPLED_TRIALS = 10_000
 DEFAULT_TV_TOLERANCE = 0.05
 
 
-def _redact(
-    rounds: Iterable[Iterable[tuple[int, str]]],
-    draws: Callable[[int], Iterable[int]],
-    watchers: Sequence[int],
-) -> tuple:
-    """The one place a view is built: (messages, randomness) of one run.
-
-    `rounds` holds the broadcast rounds as (player, bits) pairs and
-    `draws(p)` the values player p drew.  Every message is kept; draws
-    are kept for the watched players only, without their names.
-    """
-    return (
-        tuple(map(tuple, rounds)),
-        tuple([(p, tuple(draws(p))) for p in watchers]),
-    )
-
-
 def _parity_round(n: int, odd: Fraction) -> dict[tuple[int, ...], Fraction]:
     """One GHZ round keyed by per-player bits, from P(odd parity).
 
@@ -109,27 +92,6 @@ def _parity_round(n: int, odd: Fraction) -> dict[tuple[int, ...], Fraction]:
             for lead in product((0, 1), repeat=n - 1):
                 dist[lead + ((sum(lead) + parity) & 1,)] = weight
     return dist
-
-
-def _broadcast_outcomes(
-    n: int, round_dists: Sequence[Mapping[tuple[int, ...], Fraction]]
-) -> Iterator[tuple]:
-    """Outcomes of independent GHZ broadcast rounds, one map per round.
-
-    In these protocols a player's recorded draw in a round is the bit
-    they broadcast, so a player's draws are their column of the rounds.
-    """
-    table = [((p, "0"), (p, "1")) for p in range(n)]
-    rounds = [
-        [
-            (tuple(table[p][b] for p, b in enumerate(bits)), bits, prob)
-            for bits, prob in dist.items()
-        ]
-        for dist in round_dists
-    ]
-    for combo in product(*rounds):
-        messages, bits, probs = zip(*combo)
-        yield messages, tuple(zip(*bits)), reduce(mul, probs)
 
 
 class Roles(NamedTuple):
@@ -158,6 +120,12 @@ def _ghz_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
     _validate_group(n)
     if graph is not None:
         raise ValueError("a key-sharing graph applies to the dcnet protocol only")
+
+
+def _anon_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
+    _ghz_check(n, target, graph)
+    if target != "sender":
+        raise ValueError("anon_send has no receiver: it models sender anonymity only")
 
 
 def _dcnet_exact(cast: Mapping[int, Roles], watchers: Sequence[int]) -> Fraction:
@@ -191,7 +159,9 @@ class ProtocolSpec(NamedTuple):
     runs.  A GHZ protocol's `exact` is `_enumerated` over its round
     list, one odd-parity probability per round: anon's is 0 or 1, from
     the sender's flip of a fresh GHZ state; every round of ae and anonq
-    is uniform bits, 1/2.  The protocol's batched sampler is
+    is uniform bits, 1/2.  Each draw a GHZ run records is a bit it
+    broadcasts, so its views are its round bit strings, whoever is
+    watched.  The protocol's batched sampler is
     `sampling.SAMPLERS[name]`.
     """
 
@@ -208,20 +178,24 @@ def _enumerated(
 ) -> Fraction:
     """`exact` of a GHZ protocol from its model: `odds(roles)` lists one
     run's independent broadcast rounds, each as the probability that its
-    outcome parity is odd.  Groups of more than `limit` players are
-    refused before any round is built."""
+    outcome parity is odd.  A view is one run's round bit strings.
+    Groups of more than `limit` players are refused before any round is
+    built."""
     n = next(iter(cast.values())).n
     if n > limit:
         raise ValueError(
             f"exact enumeration supports n <= {limit} for this protocol; "
             "use sampled mode for larger groups"
         )
-    return _bayes_posterior_max(_exact_view_dists(
-        lambda roles: _broadcast_outcomes(
-            n, [_parity_round(n, odd) for odd in odds(roles)]
-        ),
-        cast, watchers,
-    ))
+    # `watchers` adds nothing: every recorded draw is a broadcast bit
+    dists = {}
+    for cand, roles in cast.items():
+        rounds = [_parity_round(n, odd).items() for odd in odds(roles)]
+        dists[cand] = {
+            bits: reduce(mul, probs)
+            for bits, probs in (zip(*combo) for combo in product(*rounds))
+        }
+    return _bayes_posterior_max(dists)
 
 
 # the view of a qubit transfer does not depend on the qubit sent
@@ -239,7 +213,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             # the sender's flip, a Z rotation by d * pi, of a fresh GHZ state
             lambda r: [int(apply_rz(make_ghz(r.n), r.sender, r.d, 0).is_phase_pi())],
         ),
-        _ghz_check,
+        _anon_check,
     ),
     "ae": ProtocolSpec(
         lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
@@ -300,25 +274,6 @@ def _bayes_posterior_max(dists: Mapping[int, Mapping]) -> Fraction:
     return best
 
 
-def _exact_view_dists(
-    outcomes: Callable[[Roles], Iterator[tuple]],
-    cast: Mapping[int, Roles],
-    watchers: Sequence[int],
-) -> dict[int, dict]:
-    """Each candidate's exact distribution of redacted views."""
-    dists: dict[int, dict] = {}
-    for cand, roles in cast.items():
-        dist: dict = {}
-        for rounds, draws, prob in outcomes(roles):
-            key = _redact(rounds, draws.__getitem__, watchers)
-            if key in dist:
-                dist[key] += prob
-            else:
-                dist[key] = prob
-        dists[cand] = dist
-    return dists
-
-
 def _cast(
     n: int,
     candidates: Sequence[int],
@@ -361,7 +316,7 @@ def anonymity_verdict(
     the protocol's `exact`; the verdict is posterior_max == baseline (or
     within `tolerance` if one is given).
     Sampled mode estimates each candidate's view distribution from
-    `trials` runs (at least one) and passes iff the largest pairwise
+    `trials` runs (at least one, checked in either mode) and passes iff the largest pairwise
     total variation distance is at most `tolerance` (default 0.05); it
     needs an RngStream.
 
@@ -381,6 +336,8 @@ def anonymity_verdict(
     _validate_bit(d)
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if trials <= 0:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if colluders is None:
@@ -409,8 +366,6 @@ def anonymity_verdict(
         else:
             verdict = abs(float(posterior_max) - float(baseline)) <= tolerance
     else:
-        if trials <= 0:
-            raise ValueError(f"sampled mode needs trials >= 1, got {trials}")
         if rng is None:
             raise ValueError("sampled mode needs an RngStream")
         from .sampling import view_counts

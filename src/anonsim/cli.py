@@ -272,6 +272,7 @@ def cmd_keygraph(args) -> int:
 def cmd_verdict(args) -> int:
     from . import anonymity
 
+    check_word(args.seed, "seed")
     graph = _parse_graph(args.graph) if args.graph else None
     rng = RngStream(args.seed) if args.mode == "sampled" else None
     kwargs = dict(

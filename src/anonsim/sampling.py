@@ -1,14 +1,15 @@
 """Batched samplers for sampled anonymity verdicts.
 
 A sampler draws all of one candidate's trials at once: it lays each
-trial's view out as one row of bits, a one-to-one image of the view
-`anonymity._redact` builds, from `RngStream.draw_blocks`, which replays
-the draws of running the protocol trial after trial.  `view_counts`
-turns the rows of all candidates into one candidates x views count
-matrix; apart from the blocks of draws, memory is one byte per view
-bit per trial, plus one 8-byte code per trial.  This module and
-`RngStream.draw_blocks` are the package's only numpy code; no run
-command and no exact verdict imports them.
+trial's view out as one row of bits, from `RngStream.draw_blocks`,
+which replays the draws of running the protocol trial after trial.  A
+GHZ view is the run's broadcast bits, since each draw a GHZ protocol
+records is a bit it broadcasts; an XOR-network view adds the watched
+players' keys.  `view_counts` turns the rows of all candidates into
+one candidates x views count matrix; apart from the blocks of draws,
+memory is one byte per view bit per trial, plus one 8-byte code per
+trial.  This module and `RngStream.draw_blocks` are the package's
+only numpy code; no run command and no exact verdict imports them.
 """
 
 from __future__ import annotations
@@ -36,16 +37,6 @@ def _sample_rows(
     return np.concatenate([rows(u, b) for u, b in rng.draw_blocks(pattern, trials)])
 
 
-def _broadcast_rows(rounds: Sequence[np.ndarray], watchers: Sequence[int]) -> np.ndarray:
-    """View rows of GHZ runs from their broadcast rounds (trials x n bits
-    each, in player order).  Every recorded draw is a broadcast bit, so
-    a watcher's draws are their column of the rounds."""
-    n = rounds[0].shape[1]
-    messages = np.column_stack(rounds)
-    draws = [k * n + p for p in watchers for k in range(len(rounds))]
-    return np.column_stack([messages, messages[:, draws]])
-
-
 def _parity_round(lead: np.ndarray, parity) -> np.ndarray:
     """hadamard_measure_all's outcomes: the lead bits, then the last bit
     that gives the round its parity."""
@@ -68,7 +59,7 @@ def _anon_sample(
         rng,
         "U" + "B" * (r.n - 1),
         trials,
-        lambda u, b: _broadcast_rows([_parity_round(b, r.d)], watchers),
+        lambda u, b: _parity_round(b, r.d),
     )
 
 
@@ -76,9 +67,7 @@ def _ae_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
     columns = _ae_columns(r)
-    return _sample_rows(
-        rng, "B" * r.n, trials, lambda u, b: _broadcast_rows([b[:, columns]], watchers)
-    )
+    return _sample_rows(rng, "B" * r.n, trials, lambda u, b: b[:, columns])
 
 
 def _anonq_sample(
@@ -93,7 +82,7 @@ def _anonq_sample(
         pair = b[:, columns]
         m0 = _parity_round(b[:, n : 2 * n - 1], bell >> 1)
         m1 = _parity_round(b[:, 2 * n - 1 :], bell & 1)
-        return _broadcast_rows([pair, m0, m1], watchers)
+        return np.column_stack([pair, m0, m1])
 
     pattern = "B" * n + "U" + ("U" + "B" * (n - 1)) * 2
     return _sample_rows(rng, pattern, trials, rows)
@@ -115,8 +104,9 @@ def _dcnet_sample(
 # One sampler per protocol of anonymity.PROTOCOLS.  `SAMPLERS[protocol](roles,
 # watchers, trials, rng)` draws from `rng` exactly what `trials` calls of
 # the protocol's run would and returns a trials x width uint8 matrix: row
-# i is run i's view as `_redact` builds it, flattened, that is every
-# broadcast bit round by round, then each watcher's draws.  The roles
+# i is run i's view, that is every broadcast bit round by round, then,
+# for the XOR network, each watcher's keys.  The GHZ samplers ignore
+# `watchers`: a watcher's draws are their column of the rounds.  The roles
 # are checked once, by `anonymity.anonymity_verdict`, before any sampler runs.
 SAMPLERS: dict[str, Callable[[Roles, Sequence[int], int, RngStream], np.ndarray]] = {
     "anon": _anon_sample,

@@ -7,6 +7,9 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -16,11 +19,8 @@ from anonsim.anonymity import (
     PROTOCOLS,
     Roles,
     _bayes_posterior_max,
-    _broadcast_outcomes,
     _cast,
-    _exact_view_dists,
     _parity_round,
-    _redact,
     anonymity_verdict,
     traceless_verdict,
 )
@@ -58,6 +58,63 @@ def _keyed_runs(graph: KeySharingGraph, sender: int, d: int):
 
 def _announcements(run) -> list[int]:
     return [int(e.bits) for e in run.transcript.rounds[0]]
+
+
+def _redact(
+    rounds: Iterable[Iterable[tuple[int, str]]],
+    draws: Callable[[int], Iterable[int]],
+    watchers: Sequence[int],
+) -> tuple:
+    """Oracle: the adversary's full view, (messages, randomness) of one run.
+
+    `rounds` holds the broadcast rounds as (player, bits) pairs and
+    `draws(p)` the values player p drew.  Every message is kept; draws
+    are kept for the watched players only, without their names.
+    """
+    return (
+        tuple(map(tuple, rounds)),
+        tuple([(p, tuple(draws(p))) for p in watchers]),
+    )
+
+
+def _broadcast_outcomes(
+    n: int, round_dists: Sequence[Mapping[tuple[int, ...], Fraction]]
+) -> Iterator[tuple]:
+    """Outcomes of independent GHZ broadcast rounds, one map per round.
+
+    In these protocols a player's recorded draw in a round is the bit
+    they broadcast, so a player's draws are their column of the rounds.
+    """
+    table = [((p, "0"), (p, "1")) for p in range(n)]
+    rounds = [
+        [
+            (tuple(table[p][b] for p, b in enumerate(bits)), bits, prob)
+            for bits, prob in dist.items()
+        ]
+        for dist in round_dists
+    ]
+    for combo in itertools.product(*rounds):
+        messages, bits, probs = zip(*combo)
+        yield messages, tuple(zip(*bits)), reduce(mul, probs)
+
+
+def _exact_view_dists(
+    outcomes: Callable[[Roles], Iterator[tuple]],
+    cast: Mapping[int, Roles],
+    watchers: Sequence[int],
+) -> dict[int, dict]:
+    """Oracle: each candidate's exact distribution of redacted views."""
+    dists: dict[int, dict] = {}
+    for cand, roles in cast.items():
+        dist: dict = {}
+        for rounds, draws, prob in outcomes(roles):
+            key = _redact(rounds, draws.__getitem__, watchers)
+            if key in dist:
+                dist[key] += prob
+            else:
+                dist[key] = prob
+        dists[cand] = dist
+    return dists
 
 
 def _dcnet_outcomes(r: Roles):
@@ -361,6 +418,57 @@ def test_adversary_view_hijack_watches_everyone():
         assert values == (bits[p],)
 
 
+@pytest.mark.parametrize("protocol", ["anon", "ae", "anonq"])
+def test_ghz_draws_are_the_broadcast_bits(protocol):
+    # both verdict engines read a GHZ view off the broadcasts alone, so
+    # a GHZ protocol that records a draw it does not broadcast fails here
+    spec = PROTOCOLS[protocol]
+    for n, seed in itertools.product((3, 4, 6), range(3)):
+        for sender, receiver in itertools.permutations(range(n), 2):
+            roles = Roles(n, sender, receiver, seed % 2, None)
+            _, transcript, ledger = spec.run(roles, RngStream(seed))
+            assert set(ledger.players()) <= set(range(n))
+            for p in range(n):
+                column = tuple(
+                    int(e.bits) for rnd in transcript.rounds for e in rnd if e.player == p
+                )
+                assert ledger.values(p) == column, (n, seed, sender, receiver, p)
+
+
+def _ghz_enumeration_cases():
+    """(protocol, n, target, d) of the exact-versus-oracle comparison:
+    anon and ae at n 3-5 and anonq at n 3 with every target and data
+    bit, and anonq at n = 4, a tenth of a second a candidate, with one."""
+    for n, d in itertools.product((3, 4, 5), (0, 1)):
+        yield "anon", n, "sender", d
+        yield "ae", n, "sender", d
+        yield "ae", n, "receiver", d
+    for target, d in itertools.product(("sender", "receiver"), (0, 1)):
+        yield "anonq", 3, target, d
+    yield "anonq", 4, "receiver", 1
+
+
+def test_ghz_exact_matches_the_redacted_enumeration():
+    # the oracle keys each view on the broadcasts and the watchers' draws
+    # as `_redact` builds them; the engine keys it on the broadcasts alone
+    checked = 0
+    for protocol, n, target, d in _ghz_enumeration_cases():
+        for t in range(n - 1):
+            # the default colluders, the t highest, and the t lowest, who
+            # include every other candidate's partner
+            for colluders in sorted({tuple(range(n - t, n)), tuple(range(t))}):
+                candidates = [p for p in range(n) if p not in colluders]
+                cast = _cast(n, candidates, target, d, None)
+                for watchers in (colluders, tuple(range(n))):
+                    oracle = _bayes_posterior_max(
+                        _exact_view_dists(OUTCOMES[protocol], cast, watchers)
+                    )
+                    exact = PROTOCOLS[protocol].exact(cast, watchers)
+                    assert exact == oracle, (protocol, n, target, d, colluders, watchers)
+                    checked += 1
+    assert checked == 214
+
+
 # ----------------------------------------------------------------- verdicts
 
 
@@ -476,10 +584,11 @@ def test_sampled_dcnet_star_fails():
 @pytest.mark.parametrize("trials", [0, -5])
 def test_sampled_verdict_needs_positive_trials(trials):
     graph = KeySharingGraph.star(4)
-    with pytest.raises(ValueError, match="trial"):
-        traceless_verdict(
-            "dcnet", 4, graph=graph, mode="sampled", trials=trials, rng=RngStream(0)
-        )
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError, match="trial"):
+            traceless_verdict(
+                "dcnet", 4, graph=graph, mode=mode, trials=trials, rng=RngStream(0)
+            )
 
 
 def test_verdict_argument_errors():
@@ -504,6 +613,12 @@ def test_verdict_argument_errors():
         anonymity_verdict("anon", 4, mode="guess")
     with pytest.raises(ValueError):
         anonymity_verdict("anon", 4, target="decoder")
+    # anon_send has no receiver, so a receiver verdict would pass vacuously
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError, match="no receiver"):
+            anonymity_verdict(
+                "anon", 4, target="receiver", mode=mode, trials=10, rng=RngStream(0)
+            )
     # exact verdicts refuse the groups that the runs refuse
     for protocol, target in itertools.product(("anon", "ae", "anonq"), ("sender", "receiver")):
         with pytest.raises(ValueError, match="at least 3 players"):
@@ -520,10 +635,14 @@ def test_verdict_json_round_trips_through_floats():
     json.dumps(payload)  # must be serializable as-is
 
 
-def _flat(view: tuple) -> tuple[int, ...]:
+def _flat(protocol: str, view: tuple) -> tuple[int, ...]:
     """A redacted view as a sampler row: every broadcast bit round by
-    round, then each watcher's draws."""
+    round, then, for the XOR network, each watcher's draws.  A GHZ
+    watcher's draws are their column of the rounds, so a GHZ row is the
+    broadcasts alone."""
     messages, randomness = view
+    if protocol != "dcnet":
+        randomness = ()
     return tuple(int(bits) for rnd in messages for _, bits in rnd) + tuple(
         value for _, values in randomness for value in values
     )
@@ -548,7 +667,7 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     for _ in range(40):
         _, transcript, ledger = spec.run(roles, rng)
         assert _redact(transcript.rounds, ledger.values, everyone) in exact
-    exact_rows = {_flat(view) for view in exact}
+    exact_rows = {_flat(protocol, view) for view in exact}
     rows = SAMPLERS[protocol](roles, everyone, 200, rng)
     assert rows.dtype == np.uint8
     assert rows.shape == (200, len(next(iter(exact_rows))))
@@ -571,7 +690,7 @@ def _per_trial_views(spec, cast, watchers, trials, rng) -> dict[int, list]:
     "protocol, n, target, graph",
     [
         ("anon", 4, "sender", None),
-        ("anon", 5, "receiver", None),
+        ("anon", 5, "sender", None),
         ("ae", 4, "sender", None),
         ("ae", 4, "receiver", None),
         ("anonq", 3, "sender", None),
@@ -614,12 +733,16 @@ def _assert_count_matrix_matches_per_trial_runs(
     rng = RngStream(seed, 77)
     for cand, roles in cast.items():
         rows = SAMPLERS[protocol](roles, watchers, trials, rng)
-        assert [tuple(row) for row in rows.tolist()] == [_flat(v) for v in views[cand]]
+        assert [tuple(row) for row in rows.tolist()] == [
+            _flat(protocol, v) for v in views[cand]
+        ]
 
     # view for view: column j counts the j-th distinct view in row order
     tallies = {cand: Counter(views[cand]) for cand in cast}
-    distinct = sorted({v for vs in views.values() for v in vs}, key=_flat)
-    assert len({_flat(v) for v in distinct}) == len(distinct)
+    distinct = sorted(
+        {v for vs in views.values() for v in vs}, key=lambda v: _flat(protocol, v)
+    )
+    assert len({_flat(protocol, v) for v in distinct}) == len(distinct)
     counts = view_counts(protocol, cast, watchers, trials, RngStream(seed, 77))
     assert counts.tolist() == [[tallies[c][v] for v in distinct] for c in cast]
 

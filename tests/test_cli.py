@@ -563,6 +563,33 @@ def test_verdict_sampled_without_trials_is_config_error(tmp_path, capsys, trials
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize(
+    "flag", [("--seed", "-3"), ("--trials", "0")], ids=["seed", "trials"]
+)
+def test_verdict_checks_seed_and_trials_in_either_mode(tmp_path, capsys, flag, mode):
+    # an exact verdict draws nothing, but a bad value is still a bad input
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", "anon", "--n", "4", "--mode", mode, *flag,
+        "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert flag[1] in stderr
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_verdict_anon_has_no_receiver(tmp_path, capsys, mode):
+    # anon_send has no receiver role, so a receiver verdict would pass vacuously
+    out = tmp_path / "v.json"
+    code, stdout, stderr = _run(
+        capsys, "verdict", "--protocol", "anon", "--n", "4", "--target", "receiver",
+        "--mode", mode, "--trials", "50", "--out", str(out),
+    )
+    _assert_config_error(code, stdout, stderr, out)
+    assert "no receiver" in stderr
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_verdict_rejects_bad_tolerance(tmp_path, capsys, mode, tolerance):
     out = tmp_path / "v.json"
