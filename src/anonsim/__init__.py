@@ -45,14 +45,12 @@ _EXPORTS = {
     ),
     "qsim": (
         "GhzPhaseState",
-        "MeasurementRecord",
         "apply_phase_flip",
         "apply_rz",
         "epr_fidelity",
         "hadamard_measure_all",
         "hadamard_measure_subset",
         "make_ghz",
-        "parity_odd_probability",
     ),
     "rng": ("RngStream", "derive_stream_id"),
 }

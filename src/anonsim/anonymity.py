@@ -313,8 +313,8 @@ def anonymity_verdict(
     posterior maximum against the uniform baseline 1/(n - t).
 
     Exact mode computes the posterior with rational arithmetic through
-    the protocol's `exact`; the verdict is posterior_max == baseline (or
-    within `tolerance` if one is given).
+    the protocol's `exact`; the verdict is posterior_max == baseline, and
+    a `tolerance` is refused.
     Sampled mode estimates each candidate's view distribution from
     `trials` runs (at least one, checked in either mode) and passes iff the largest pairwise
     total variation distance is at most `tolerance` (default 0.05); it
@@ -340,6 +340,8 @@ def anonymity_verdict(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    if tolerance is not None and mode == "exact":
+        raise ValueError("tolerance applies to sampled mode only; exact mode tests equality")
     if colluders is None:
         colluder_set = frozenset(range(n - t, n))
     else:
@@ -361,10 +363,7 @@ def anonymity_verdict(
     extra = {}
     if mode == "exact":
         posterior_max = spec.exact(cast, watchers)
-        if tolerance is None:
-            verdict = posterior_max == baseline
-        else:
-            verdict = abs(float(posterior_max) - float(baseline)) <= tolerance
+        verdict = posterior_max == baseline
     else:
         if rng is None:
             raise ValueError("sampled mode needs an RngStream")

@@ -206,10 +206,8 @@ def cmd_anonq(args) -> int:
 def cmd_collision(args) -> int:
     rng = RngStream(args.seed, args.stream_id)
     wishers = _parse_ids(args.wishers)
-    verdict = protocols.collision_detect(args.n, wishers, rng)
-    transcript = protocols.Transcript(args.n)
-    ledger = protocols.RandomnessLedger()
-    run = protocols.Run(verdict, transcript, ledger)
+    run = protocols.collision_detect(args.n, wishers, rng)
+    verdict = run.output
     return _record_run(
         args, "collision", args.n, run, verdict.to_json(), {"wishers": wishers},
         [("k", len(wishers)), ("verdict", verdict.verdict.value),
@@ -316,7 +314,7 @@ def _sweep_collision(args) -> tuple[list[str], list[list]]:
                 stream = RngStream(
                     args.seed, derive_stream_id(args.seed, "collision", n, k)
                 )
-                verdict = protocols.collision_detect(n, range(k), stream)
+                verdict = protocols.collision_detect(n, range(k), stream).output
                 if k == 1:
                     predicted = None
                 elif k == 0:
@@ -477,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, choices=(0, 1), default=1)
     p.add_argument("--mode", default="exact", choices=("exact", "sampled"))
     p.add_argument("--trials", type=int, help="sampled trials per candidate")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=float,
+                   help="sampled mode only: the largest passing max_tv (default 0.05)")
     p.add_argument("--graph", help="key-sharing graph (dcnet only)")
     p.add_argument("--traceless", action="store_true",
                    help="adversary reads every player's randomness")

@@ -8,10 +8,11 @@ classical pairwise-key XOR network they are compared against
 exactly one willing sender, and the anonymous key exchange built from
 anonymous broadcasts.
 
-Every run returns a Run: its output value, a Transcript of what was
-broadcast and a RandomnessLedger of the random values each player drew.
-Data items and role assignments are deliberately kept out of ledgers:
-they are the secrets whose leakage the analysis layer checks for.
+Every protocol returns a Run: its output value, a Transcript of what
+was broadcast and a RandomnessLedger of the random values each player
+drew.  Data items, role assignments and key-exchange slot choices are
+deliberately kept out of ledgers: they are the secrets whose leakage
+the analysis layer checks for.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import enum
 import math
 from functools import lru_cache, reduce
 from operator import xor
-from typing import Any, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .keygraph import KeySharingGraph, is_connected
 from .qsim import (
@@ -120,8 +121,9 @@ class RandomnessLedger:
 class Run(NamedTuple):
     """What one protocol run yields: its output, broadcasts and draws.
 
-    `output` is the protocol's result (decoded bit, parity, EPR pair or
-    received qubit), None when the run aborted.
+    `output` is the protocol's result (decoded bit, parity, EPR pair,
+    received qubit, collision verdict or key pair), None when the run
+    aborted.
     """
 
     output: Any
@@ -150,7 +152,7 @@ def _validate_players(n: int, label: str, players: Iterable[int]) -> set[int]:
 
 
 def _broadcast_draws(
-    n: int, names: Sequence[str], bits: Sequence[int], withheld: set[int]
+    n: int, names: Sequence[str], bits: Sequence[int], withheld: Collection[int]
 ) -> tuple[Transcript, RandomnessLedger]:
     """One broadcast round in which each player's one draw is their message.
 
@@ -168,23 +170,26 @@ def _broadcast_draws(
     return transcript, ledger
 
 
-def _flip_and_broadcast(
-    n: int, flippers: Sequence[int], withheld: set[int], rng: RngStream
+def _broadcast_round(
+    state: GhzPhaseState, rng: RngStream, withheld: Collection[int] = ()
 ) -> Run:
-    """One anonymous broadcast round over a fresh GHZ state.
+    """One anonymous broadcast round over a GHZ state at phase 0 or pi.
 
-    Every player in `flippers` phase-flips their share, everyone applies
-    a Hadamard, measures and broadcasts the outcome bit.  The output is
-    the parity of the round, or None if anyone withheld.
+    Everyone applies a Hadamard to their share, measures and broadcasts
+    the outcome bit.  The output is the parity of the round, or None if
+    anyone withheld.
     """
-    state = make_ghz(n)
-    for p in flippers:
-        state = apply_phase_flip(state, p)
-    record = hadamard_measure_all(state, rng)
-    names = ["measurement"] * n
-    transcript, ledger = _broadcast_draws(n, names, record.outcomes, withheld)
-    output = None if withheld else transcript.round_parity(0)
-    return Run(output, transcript, ledger)
+    n = state.num_qubits
+    outcomes = hadamard_measure_all(state, rng)
+    transcript, ledger = _broadcast_draws(n, ["measurement"] * n, outcomes, withheld)
+    return Run(None if withheld else transcript.round_parity(0), transcript, ledger)
+
+
+def _append(transcript: Transcript, ledger: RandomnessLedger, run: Run) -> Any:
+    """Append `run`'s rounds and draws to a longer run's; return its output."""
+    transcript.extend(run.transcript)
+    ledger.extend(run.ledger)
+    return run.output
 
 
 def anon_send(
@@ -215,7 +220,7 @@ def anon_send(
     flippers = sorted(_validate_players(n, "disruptor", disruptors))
     if d == 1:
         flippers.insert(0, sender)
-    return _flip_and_broadcast(n, flippers, withheld, rng)
+    return _broadcast_round(reduce(apply_phase_flip, flippers, make_ghz(n)), rng, withheld)
 
 
 def anon_multiparty_parity(n: int, flippers: Iterable[int], rng: RngStream) -> Run:
@@ -226,7 +231,7 @@ def anon_multiparty_parity(n: int, flippers: Iterable[int], rng: RngStream) -> R
     """
     _validate_group(n)
     flip_set = _validate_players(n, "flipper", flippers)
-    return _flip_and_broadcast(n, sorted(flip_set), set(), rng)
+    return _broadcast_round(reduce(apply_phase_flip, sorted(flip_set), make_ghz(n)), rng)
 
 
 def ae_establish(
@@ -259,16 +264,16 @@ def ae_establish(
 
     state = make_ghz(n)
     measured = tuple(p for p in range(n) if p not in (sender, receiver))
-    record, pair = hadamard_measure_subset(state, measured, rng)
+    outcomes, pair = hadamard_measure_subset(state, measured, rng)
     b = rng.bit()
     b_prime = rng.bit()
 
     if b == 1:
         pair = apply_phase_flip(pair, 0)
-    if (b ^ record.parity) == 1:
+    if (b ^ sum(outcomes)) & 1:
         pair = apply_phase_flip(pair, 1)
 
-    draws = {p: ("measurement", bit) for p, bit in zip(measured, record.outcomes)}
+    draws = {p: ("measurement", bit) for p, bit in zip(measured, outcomes)}
     draws[sender] = ("coin", b)
     draws[receiver] = ("decoy", b_prime)
     names, bits = zip(*(draws[p] for p in range(n)))
@@ -315,9 +320,7 @@ def anonq_send(
     _, transcript, ledger = ae_establish(n, sender, receiver, rng)
     outcome = int(4 * rng.uniform())
     for bit in (outcome >> 1, outcome & 1):
-        _, t, l = anon_send(n, sender, bit, rng)
-        transcript.extend(t)
-        ledger.extend(l)
+        _append(transcript, ledger, anon_send(n, sender, bit, rng))
     return Run(sent, transcript, ledger)
 
 
@@ -459,39 +462,39 @@ class CollisionVerdict(NamedTuple):
         }
 
 
-def collision_detect(
-    n: int, wishers: Iterable[int], rng: RngStream
-) -> CollisionVerdict:
+def collision_detect(n: int, wishers: Iterable[int], rng: RngStream) -> Run:
     """Test anonymously whether exactly one player wishes to send.
 
     Round j starts from the prepared state with phase -pi/2^j; each of
     the k wishers applies a rotation of +pi/2^j, leaving phase
-    (k-1)*pi/2^j.  Everyone Hadamard-measures and broadcasts.  With
-    k = 2^j*m + 1 (m odd) the parity is deterministically even before
-    round j and odd at round j; with k = 1 every round is even; with
-    k = 0 round 0 sees phase -pi and is odd.  The run ends at the first
-    odd round.
+    (k-1)*pi/2^j.  Everyone Hadamard-measures and broadcasts, as in
+    anon_send, and records the measured bit.  With k = 2^j*m + 1 (m odd)
+    the parity is deterministically even before round j and odd at
+    round j; with k = 1 every round is even; with k = 0 round 0 sees
+    phase -pi and is odd.  The run ends at the first odd round.
+
+    The output is a CollisionVerdict; the transcript holds every
+    executed round.
     """
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    wish_set = _validate_players(n, "wisher", wishers)
+    wish_set = sorted(_validate_players(n, "wisher", wishers))
 
+    transcript, ledger = Transcript(n), RandomnessLedger()
     parities = []
-    first_odd = None
     for j, state in enumerate(prepare_rotated_states(n)):
-        for w in sorted(wish_set):
+        for w in wish_set:
             state = apply_rz(state, w, 1, j)
-        record = hadamard_measure_all(state, rng)
-        parities.append(record.parity)
-        if record.parity == 1:
-            first_odd = j
+        parities.append(_append(transcript, ledger, _broadcast_round(state, rng)))
+        if parities[-1]:
             break
+    first_odd = len(parities) - 1 if parities[-1] else None
     verdict = (
         CollisionOutcome.EXACTLY_ONE
         if first_odd is None
         else CollisionOutcome.NOT_EXACTLY_ONE
     )
-    return CollisionVerdict(tuple(parities), verdict, first_odd)
+    return Run(CollisionVerdict(tuple(parities), verdict, first_odd), transcript, ledger)
 
 
 def anonymous_key_exchange(
@@ -503,7 +506,7 @@ def anonymous_key_exchange(
     *,
     bits_i: Optional[Sequence[int]] = None,
     bits_j: Optional[Sequence[int]] = None,
-) -> tuple[list[int], list[int], Transcript]:
+) -> Run:
     """Grow a shared key between two nodes out of anonymous broadcasts.
 
     Slot choice after Alpern & Schneider, "Key exchange using 'keyless
@@ -515,6 +518,10 @@ def anonymous_key_exchange(
     picked the same slot, and the index is discarded.  Either way the
     transcript shows only whether the index was kept, never the key bit.
     Expect about half the indices to survive.
+
+    The output is the pair (key_i, key_j); the transcript and ledger
+    hold every slot's broadcasts and measured bits.  The slot choices
+    are the key, so they stay out of the ledger.
 
     `bits_i`/`bits_j` override the slot choices, for tests.
     """
@@ -529,7 +536,7 @@ def anonymous_key_exchange(
     if bits_j is not None and len(bits_j) != key_len:
         raise ValueError("bits_j must have length key_len")
 
-    transcript = Transcript(n)
+    transcript, ledger = Transcript(n), RandomnessLedger()
     key_i: list[int] = []
     key_j: list[int] = []
     for idx in range(key_len):
@@ -538,10 +545,9 @@ def anonymous_key_exchange(
         parities = []
         for slot in (0, 1):
             flippers = [p for p, s in ((node_i, slot_i), (node_j, slot_j)) if s == slot]
-            parity, slot_transcript, _ = anon_multiparty_parity(n, flippers, rng)
-            transcript.extend(slot_transcript)
-            parities.append(parity)
+            run = anon_multiparty_parity(n, flippers, rng)
+            parities.append(_append(transcript, ledger, run))
         if parities == [1, 1]:
             key_i.append(slot_i)
             key_j.append(1 - slot_j)
-    return key_i, key_j, transcript
+    return Run((key_i, key_j), transcript, ledger)

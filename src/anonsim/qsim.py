@@ -15,10 +15,11 @@ Conventions
 * Qubit index 0 is the least significant bit of an amplitude index.
 * Global phase is discarded everywhere; a single-qubit rotation about Z
   acts as diag(1, exp(i*theta)).
-* After a Hadamard on every qubit of a GHZ-manifold state, the outcome
-  string x has probability (1 + (-1)^|x| * cos(phi)) / 2^n, so the
-  parity of x is odd with probability (1 - cos(phi)) / 2 and outcomes
-  are uniform within each parity class.
+* After a Hadamard on every qubit of a GHZ-manifold state at phase 0
+  or pi, the parity of the outcome string is certain (even at 0, odd at
+  pi) and the strings are uniform within that parity class.  That is
+  the only measurement the protocols make; the law at any other phase
+  is the dense oracle's `outcome_distribution`.
 """
 
 from __future__ import annotations
@@ -135,53 +136,29 @@ def epr_fidelity(pair: GhzPhaseState) -> float:
     return abs(h * h + (h * cmath.exp(1j * pair.phase_radians)).conjugate() * h) ** 2
 
 
-class MeasurementRecord(NamedTuple):
-    """Computational-basis outcomes for a set of measured qubits."""
-
-    outcomes: tuple[int, ...]
-
-    @property
-    def parity(self) -> int:
-        return sum(self.outcomes) & 1
-
-
-def parity_odd_probability(state: GhzPhaseState) -> float:
-    """P(odd outcome parity) after a Hadamard on every qubit.
-
-    Exactly 0.0 for phase 0 and exactly 1.0 for phase pi; otherwise
-    (1 - cos(phi)) / 2 in floating point.
-    """
-    if state.is_phase_zero():
-        return 0.0
-    if state.is_phase_pi():
-        return 1.0
-    return (1.0 - math.cos(state.phase_radians)) / 2.0
-
-
-def hadamard_measure_all(state: GhzPhaseState, rng: RngStream) -> MeasurementRecord:
+def hadamard_measure_all(state: GhzPhaseState, rng: RngStream) -> tuple[int, ...]:
     """Hadamard on every qubit, then measure all in the computational basis.
 
-    Sampling is two-stage: the outcome parity is Bernoulli with
-    parity_odd_probability(state), then the string is uniform within the
-    sampled parity class.  Cost is O(n) per call.
+    The phase must be 0 or pi, which fixes the outcome parity: only the
+    first n - 1 bits are drawn, and the last one sets that parity.
+    Returns the outcomes in qubit order.
     """
-    n = state.num_qubits
-    want_odd = rng.uniform() < parity_odd_probability(state)
-    lead = rng.bits(n - 1)
-    last = (sum(lead) + (1 if want_odd else 0)) & 1
-    return MeasurementRecord(lead + (last,))
+    if not (state.is_phase_zero() or state.is_phase_pi()):
+        raise ValueError(f"measuring all needs phase 0 or pi, got {state.phase_radians:g}")
+    lead = rng.bits(state.num_qubits - 1)
+    return lead + ((sum(lead) + state.is_phase_pi()) & 1,)
 
 
 def hadamard_measure_subset(
     state: GhzPhaseState, measured: tuple[int, ...] | list[int], rng: RngStream
-) -> tuple[MeasurementRecord, GhzPhaseState]:
+) -> tuple[tuple[int, ...], GhzPhaseState]:
     """Hadamard-and-measure all but two qubits of a GHZ-manifold state.
 
     Outcomes on the measured qubits are uniform.  The two remaining
     qubits are left in (|00> + exp(i*(phi + |x|*pi))|11>)/sqrt(2) where
     |x| is the Hamming weight of the outcome string.  Returns the
-    record, its outcomes ordered by measured qubit index, and that
-    two-qubit residual state.
+    outcomes, ordered by measured qubit index, and that two-qubit
+    residual state.
     """
     n = state.num_qubits
     measured = tuple(sorted(measured))
@@ -194,9 +171,8 @@ def hadamard_measure_subset(
     for q in measured:
         _check_player(state, q)
     outcomes = rng.bits(n - 2)
-    record = MeasurementRecord(outcomes)
-    bump = record.parity << state.phase_denom_exp
+    bump = (sum(outcomes) & 1) << state.phase_denom_exp
     residual = GhzPhaseState(
         2, state.phase_numerator + bump, state.phase_denom_exp
     )
-    return record, residual
+    return outcomes, residual

@@ -54,13 +54,7 @@ def _ae_columns(r: Roles) -> np.ndarray:
 def _anon_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
-    # the uniform is moot: a phase of 0 or pi fixes the parity to d
-    return _sample_rows(
-        rng,
-        "U" + "B" * (r.n - 1),
-        trials,
-        lambda u, b: _parity_round(b, r.d),
-    )
+    return _sample_rows(rng, "B" * (r.n - 1), trials, lambda u, b: _parity_round(b, r.d))
 
 
 def _ae_sample(
@@ -84,8 +78,7 @@ def _anonq_sample(
         m1 = _parity_round(b[:, 2 * n - 1 :], bell & 1)
         return np.column_stack([pair, m0, m1])
 
-    pattern = "B" * n + "U" + ("U" + "B" * (n - 1)) * 2
-    return _sample_rows(rng, pattern, trials, rows)
+    return _sample_rows(rng, "B" * n + "U" + "B" * (2 * n - 2), trials, rows)
 
 
 def _dcnet_sample(

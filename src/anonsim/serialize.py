@@ -24,8 +24,12 @@ def run_record(
     verdicts: dict,
     config: dict | None = None,
 ) -> dict:
-    """Assemble the canonical JSON structure for one protocol run."""
+    """Assemble the canonical JSON structure for one protocol run.
+
+    `format` is 2; it grows when seeded record bytes change meaning.
+    """
     record = {
+        "format": 2,
         "protocol": protocol,
         "n": n,
         "seed": seed,

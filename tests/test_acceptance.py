@@ -148,7 +148,7 @@ def test_05_collision_detection_grid():
             round_limit = (n - 1).bit_length() + 1
             for k in range(n + 1):
                 rng = _stream("collision", n, k)
-                verdict = collision_detect(n, range(k), rng)
+                verdict = collision_detect(n, range(k), rng).output
                 assert verdict.rounds_used <= round_limit
                 assert (verdict.verdict is CollisionOutcome.EXACTLY_ONE) == (
                     k == 1

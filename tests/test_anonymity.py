@@ -570,6 +570,16 @@ def test_tolerance_must_be_finite_and_nonnegative(mode, tolerance):
         )
 
 
+@pytest.mark.parametrize("tolerance", [0.0, 1.0])
+def test_exact_mode_refuses_a_tolerance(tolerance):
+    # an exact verdict is posterior_max == baseline: a tolerance of 1 once
+    # passed the XOR network's traced sender at posterior_max 1
+    graph = KeySharingGraph.complete(4)
+    with pytest.raises(ValueError, match="sampled mode only"):
+        traceless_verdict("dcnet", 4, graph=graph, tolerance=tolerance)
+    assert not traceless_verdict("dcnet", 4, graph=graph).verdict
+
+
 def test_sampled_dcnet_star_fails():
     rng = RngStream(21, 0)
     graph = KeySharingGraph.star(4)

@@ -38,6 +38,11 @@ def _load(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _xor(entries):
+    """Parity of one recorded broadcast round."""
+    return sum(int(e["bits"]) for e in entries) % 2
+
+
 # ------------------------------------------------------------ protocol runs
 
 
@@ -245,7 +250,12 @@ def test_collision_summary_and_record(tmp_path, capsys):
     assert "first_odd_round=1" in stdout
     record = _load(out)
     jsonschema.validate(record, RUN_SCHEMA)
+    assert record["format"] == 2
     assert record["verdicts"]["first_odd_round"] == 1
+    # both executed rounds are recorded, even then odd
+    assert [_xor(rnd) for rnd in record["rounds"]] == record["verdicts"]["parities"] == [0, 1]
+    assert all(len(rnd) == 8 for rnd in record["rounds"])
+    assert sorted(record["ledger"]) == [str(p) for p in range(8)]
 
 
 def test_collision_single_wisher(tmp_path, capsys):
@@ -600,14 +610,19 @@ def test_verdict_rejects_bad_tolerance(tmp_path, capsys, mode, tolerance):
     _assert_config_error(code, stdout, stderr, out)
 
 
-def test_verdict_zero_tolerance_passes_at_the_baseline(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--protocol anon --n 4 --traceless --tolerance 0",
+        # posterior_max 1 against a baseline of 1/4 once read PASS here
+        "--protocol dcnet --n 4 --graph complete:4 --traceless --tolerance 1",
+    ],
+)
+def test_verdict_refuses_tolerance_in_exact_mode(tmp_path, capsys, argv):
     out = tmp_path / "v.json"
-    code, stdout, _ = _run(
-        capsys, "verdict", "--protocol", "anon", "--n", "4", "--traceless",
-        "--tolerance", "0", "--out", str(out),
-    )
-    assert code == EXIT_OK
-    assert "PASS" in stdout
+    code, stdout, stderr = _run(capsys, "verdict", *argv.split(), "--out", str(out))
+    _assert_config_error(code, stdout, stderr, out)
+    assert "sampled mode only" in stderr
 
 
 def test_verdict_protocol_choices_are_the_registered_protocols():

@@ -35,6 +35,14 @@ from dense_oracle import (
 )
 
 
+def _columns(transcript, n):
+    """Each player's broadcast bits over the rounds, in round order."""
+    return [
+        tuple(int(e.bits) for rnd in transcript.rounds for e in rnd if e.player == p)
+        for p in range(n)
+    ]
+
+
 # ------------------------------------------------------------- player setup
 
 
@@ -120,6 +128,22 @@ def test_anon_multiparty_parity_exhaustive():
             parity, transcript, _ = anon_multiparty_parity(n, flippers, rng)
             assert parity == r % 2
             assert transcript.round_parity(0) == r % 2
+
+
+def test_broadcast_rounds_draw_only_their_free_bits():
+    # each round of phase 0 or pi draws n - 1 bits and nothing else: no
+    # uniform, since the phase fixes the parity
+    for seed, n in itertools.product(range(4), (3, 5, 8)):
+        rng, fresh = RngStream(seed, n), RngStream(seed, n)
+        rounds = len(anon_send(n, 1, seed % 2, rng).transcript.rounds)
+        rounds += len(anon_multiparty_parity(n, (0, 2), rng).transcript.rounds)
+        for k in range(n + 1):
+            rounds += collision_detect(n, range(k), rng).output.rounds_used
+        for _ in range(rounds):
+            fresh.bits(n - 1)
+        assert (rng.bit(), rng.uniform(), rng.bits(5)) == (
+            fresh.bit(), fresh.uniform(), fresh.bits(5)
+        ), (seed, n)
 
 
 def test_anon_rejects_bad_arguments():
@@ -376,7 +400,7 @@ def test_collision_detect_full_grid():
             for wishers in itertools.islice(
                 itertools.combinations(range(n), k), 6
             ):
-                verdict = collision_detect(n, wishers, rng)
+                verdict = collision_detect(n, wishers, rng).output
                 if k == 1:
                     assert verdict.verdict is CollisionOutcome.EXACTLY_ONE
                     assert verdict.first_odd_round is None
@@ -394,12 +418,30 @@ def test_collision_detect_full_grid():
 
 def test_collision_rounds_used():
     rng = RngStream(79)
-    v = collision_detect(8, (0, 1), rng)  # k=2: odd at round 0
+    v = collision_detect(8, (0, 1), rng).output  # k=2: odd at round 0
     assert v.rounds_used == 1
-    v = collision_detect(8, (0, 1, 2, 3, 4), rng)  # k=5: odd at round 2
+    v = collision_detect(8, (0, 1, 2, 3, 4), rng).output  # k=5: odd at round 2
     assert v.rounds_used == 3
-    v = collision_detect(8, (2,), rng)
+    v = collision_detect(8, (2,), rng).output
     assert v.rounds_used == 4  # every round runs, all even
+
+
+def test_collision_run_records_its_rounds():
+    # each executed round is broadcast, and each player's measured bits
+    # are their ledger, as in anon_send
+    rng = RngStream(83)
+    for n in range(2, 11):
+        for k in range(n + 1):
+            verdict, transcript, ledger = collision_detect(n, range(n - k, n), rng)
+            assert len(transcript.rounds) == verdict.rounds_used
+            assert all(len(rnd) == n for rnd in transcript.rounds)
+            assert not transcript.aborted
+            parities = tuple(transcript.round_parity(i) for i in range(verdict.rounds_used))
+            assert parities == verdict.parities
+            assert [ledger.values(p) for p in range(n)] == _columns(transcript, n)
+            assert {name for p in range(n) for name, _ in ledger.entries(p)} == {
+                "measurement"
+            }
 
 
 def test_collision_rejects_bad_arguments():
@@ -416,7 +458,7 @@ def test_collision_rejects_bad_arguments():
 def test_key_exchange_forced_disagreement_keeps_every_bit():
     rng = RngStream(113)
     key_len = 16
-    key_i, key_j, transcript = anonymous_key_exchange(
+    (key_i, key_j), transcript, _ = anonymous_key_exchange(
         6,
         1,
         4,
@@ -431,7 +473,7 @@ def test_key_exchange_forced_disagreement_keeps_every_bit():
 
 def test_key_exchange_forced_agreement_yields_nothing():
     rng = RngStream(127)
-    key_i, key_j, transcript = anonymous_key_exchange(
+    (key_i, key_j), transcript, _ = anonymous_key_exchange(
         5, 0, 2, 4, rng, bits_i=(1,) * 4, bits_j=(1,) * 4
     )
     assert key_i == []
@@ -449,7 +491,7 @@ def _slot_parities(transcript, key_len):
 def test_key_exchange_random_bits_agree():
     rng = RngStream(131)
     for _ in range(10):
-        key_i, key_j, transcript = anonymous_key_exchange(4, 0, 3, 12, rng)
+        (key_i, key_j), transcript, _ = anonymous_key_exchange(4, 0, 3, 12, rng)
         assert key_i == key_j
         # every kept index shows (1, 1) and every discarded one (0, 0), so
         # the transcript tells which indices were kept and nothing more
@@ -459,11 +501,21 @@ def test_key_exchange_random_bits_agree():
 
 
 def test_key_exchange_transcript_hides_the_key():
-    key_i, key_j, transcript = anonymous_key_exchange(6, 1, 4, 64, RngStream(3))
+    (key_i, key_j), transcript, _ = anonymous_key_exchange(6, 1, 4, 64, RngStream(3))
     assert key_i == key_j
     assert 0 < sum(key_i) < len(key_i)
     kept = [p for p in _slot_parities(transcript, 64) if p != (0, 0)]
     assert kept == [(1, 1)] * len(key_i)
+
+
+def test_key_exchange_ledger_is_its_broadcasts():
+    # every slot's measured bits are kept; the slot choices, which are the
+    # key, are not
+    for n, key_len in ((3, 5), (6, 9)):
+        _, transcript, ledger = anonymous_key_exchange(n, 0, n - 1, key_len, RngStream(n))
+        assert len(transcript.rounds) == 2 * key_len
+        assert [ledger.values(p) for p in range(n)] == _columns(transcript, n)
+        assert all(len(ledger.values(p)) == 2 * key_len for p in range(n))
 
 
 def test_key_exchange_rejects_bad_arguments():

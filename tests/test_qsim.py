@@ -20,7 +20,6 @@ from anonsim.qsim import (
     hadamard_measure_all,
     hadamard_measure_subset,
     make_ghz,
-    parity_odd_probability,
 )
 from anonsim.rng import RngStream
 
@@ -169,23 +168,6 @@ def test_from_dense_rejects_off_manifold_states():
 # -------------------------------------------------------- measurement law
 
 
-def test_parity_probability_matches_dense_oracle():
-    # oracle: full Hadamard transform of the dense state
-    for numerator, denom_exp in [(0, 0), (1, 0), (1, 1), (3, 2), (5, 3), (7, 2)]:
-        s = GhzPhaseState(4, numerator, denom_exp)
-        dense = apply_hadamard_all(to_dense(s))
-        probs = dense.probabilities()
-        odd = sum(
-            p for x, p in enumerate(probs) if bin(x).count("1") % 2 == 1
-        )
-        assert parity_odd_probability(s) == pytest.approx(odd, abs=1e-12)
-
-
-def test_parity_probability_exact_endpoints():
-    assert parity_odd_probability(make_ghz(5)) == 0.0
-    assert parity_odd_probability(apply_phase_flip(make_ghz(5), 0)) == 1.0
-
-
 def test_outcome_distribution_matches_dense_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(100):
@@ -199,20 +181,24 @@ def test_outcome_distribution_matches_dense_oracle():
         )
 
 
-def test_hadamard_measure_all_parity_frequency():
-    # phase pi/2: odd parity should appear about half the time
-    s = GhzPhaseState(4, 1, 1)
+@pytest.mark.parametrize("numerator, denom_exp", [(1, 1), (3, 1), (1, 3)])
+def test_hadamard_measure_all_refuses_an_uncertain_parity(numerator, denom_exp):
+    # no protocol measures every qubit away from phase 0 or pi, so that
+    # law lives only in the dense oracle's outcome_distribution
     rng = RngStream(99)
-    hits = sum(hadamard_measure_all(s, rng).parity for _ in range(20000))
-    assert abs(hits / 20000 - 0.5) < 0.02
+    with pytest.raises(ValueError, match="phase 0 or pi"):
+        hadamard_measure_all(GhzPhaseState(4, numerator, denom_exp), rng)
+    assert rng.bit() == RngStream(99).bit()
 
 
 def test_hadamard_measure_all_deterministic_parities():
     rng = RngStream(5)
     for _ in range(200):
-        assert hadamard_measure_all(make_ghz(4), rng).parity == 0
+        assert sum(hadamard_measure_all(make_ghz(4), rng)) % 2 == 0
         flipped = apply_phase_flip(make_ghz(4), 2)
-        assert hadamard_measure_all(flipped, rng).parity == 1
+        assert sum(hadamard_measure_all(flipped, rng)) % 2 == 1
+        # phase pi at a finer denominator is the same state
+        assert sum(hadamard_measure_all(flipped.with_denom_exp(3), rng)) % 2 == 1
 
 
 def test_hadamard_measure_all_uniform_within_parity_class():
@@ -221,8 +207,8 @@ def test_hadamard_measure_all_uniform_within_parity_class():
     counts = {}
     trials = 40000
     for _ in range(trials):
-        rec = hadamard_measure_all(s, rng)
-        counts[rec.outcomes] = counts.get(rec.outcomes, 0) + 1
+        outcomes = hadamard_measure_all(s, rng)
+        counts[outcomes] = counts.get(outcomes, 0) + 1
     assert set(sum(k) % 2 for k in counts) == {1}
     assert len(counts) == 4
     for c in counts.values():
@@ -268,9 +254,9 @@ def test_subset_measurement_matches_dense_oracle():
 def test_subset_measurement_residual_phase():
     rng = RngStream(7)
     for _ in range(300):
-        rec, residual = hadamard_measure_subset(make_ghz(6), (0, 1, 2, 3), rng)
+        outcomes, residual = hadamard_measure_subset(make_ghz(6), (0, 1, 2, 3), rng)
         assert residual.num_qubits == 2
-        assert _phase(residual) == Fraction(rec.parity)
+        assert _phase(residual) == Fraction(sum(outcomes) % 2)
 
 
 def test_subset_measurement_validates_arguments():
