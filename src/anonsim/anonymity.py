@@ -33,15 +33,12 @@ the adversary learns which block of players it cannot split holds the
 sender, and nothing more; the tests check it against enumerating every
 key assignment.
 
-Sampled mode, the package's one user of numpy, draws all of one
-candidate's trials at once: the sampler lays each trial's view out as
-one row of bits, from `RngStream.draw_blocks`, which replays the draws
-of running the protocol trial after trial.  The rows of all candidates
-become one candidates x views count matrix, compared by total variation
-distance.  Seeded sampled reports are therefore byte-identical to those
-of running every trial and reading its view, and memory is bounded
-per block of trials plus one byte per view bit per trial, plus one
-8-byte code per trial.
+Sampled mode, the package's one user of numpy, counts each candidate's
+views over seeded trials drawn in batches (`sampling`: every draw a
+protocol makes is a bit, and `RngStream.bit_rows` replays them row by
+row), and compares the candidates by total variation distance.  Seeded
+sampled reports are byte-identical to those of running every trial and
+reading its view.
 """
 
 from __future__ import annotations
@@ -67,9 +64,6 @@ from .protocols import (
 )
 from .qsim import apply_rz, make_ghz
 from .rng import RngStream
-
-ENUM_PLAYER_LIMIT = 12
-ANONQ_ENUM_PLAYER_LIMIT = 6
 
 DEFAULT_SAMPLED_TRIALS = 10_000
 DEFAULT_TV_TOLERANCE = 0.05
@@ -161,32 +155,26 @@ class ProtocolSpec(NamedTuple):
     the sender's flip of a fresh GHZ state; every round of ae and anonq
     is uniform bits, 1/2.  Each draw a GHZ run records is a bit it
     broadcasts, so its views are its round bit strings, whoever is
-    watched.  The protocol's batched sampler is
+    watched.  `exact_limit` is the largest group `exact` enumerates,
+    None for no limit.  The protocol's batched sampler is
     `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
     exact: Callable[[Mapping[int, Roles], Sequence[int]], Fraction]
     check: Callable[[int, str, Optional[KeySharingGraph]], None]
+    exact_limit: Optional[int] = None
 
 
 def _enumerated(
-    limit: int,
     odds: Callable[[Roles], list[Fraction]],
     cast: Mapping[int, Roles],
     watchers: Sequence[int],
 ) -> Fraction:
     """`exact` of a GHZ protocol from its model: `odds(roles)` lists one
     run's independent broadcast rounds, each as the probability that its
-    outcome parity is odd.  A view is one run's round bit strings.
-    Groups of more than `limit` players are refused before any round is
-    built."""
+    outcome parity is odd.  A view is one run's round bit strings."""
     n = next(iter(cast.values())).n
-    if n > limit:
-        raise ValueError(
-            f"exact enumeration supports n <= {limit} for this protocol; "
-            "use sampled mode for larger groups"
-        )
     # `watchers` adds nothing: every recorded draw is a broadcast bit
     dists = {}
     for cand, roles in cast.items():
@@ -209,21 +197,24 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
         lambda r, rng: anon_send(r.n, r.sender, r.d, rng),
         partial(
-            _enumerated, ENUM_PLAYER_LIMIT,
+            _enumerated,
             # the sender's flip, a Z rotation by d * pi, of a fresh GHZ state
             lambda r: [int(apply_rz(make_ghz(r.n), r.sender, r.d, 0).is_phase_pi())],
         ),
         _anon_check,
+        exact_limit=12,
     ),
     "ae": ProtocolSpec(
         lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
-        partial(_enumerated, ENUM_PLAYER_LIMIT, lambda r: [_HALF]),
+        partial(_enumerated, lambda r: [_HALF]),
         _ghz_check,
+        exact_limit=12,
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
-        partial(_enumerated, ANONQ_ENUM_PLAYER_LIMIT, lambda r: [_HALF] * 3),
+        partial(_enumerated, lambda r: [_HALF] * 3),
         _ghz_check,
+        exact_limit=6,
     ),
     "dcnet": ProtocolSpec(
         lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng),
@@ -342,6 +333,12 @@ def anonymity_verdict(
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if tolerance is not None and mode == "exact":
         raise ValueError("tolerance applies to sampled mode only; exact mode tests equality")
+    # refused before any work that grows with n
+    if mode == "exact" and spec.exact_limit is not None and n > spec.exact_limit:
+        raise ValueError(
+            f"exact enumeration supports n <= {spec.exact_limit} for this protocol; "
+            "use sampled mode for larger groups"
+        )
     if colluders is None:
         colluder_set = frozenset(range(n - t, n))
     else:

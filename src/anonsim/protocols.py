@@ -312,14 +312,12 @@ def anonq_send(
     The pair ae_establish leaves is exactly (|00> + |11>)/sqrt(2), so the
     four Bell outcomes are equally likely whatever the qubit, and after
     the corrections the receiver holds the sent qubit exactly (Bennett et
-    al., PRL 70, 1895, 1993).  So the Bell measurement is one uniform
-    draw u with 2*m0 + m1 = floor(4u), and the received amplitudes are
-    the sent ones.
+    al., PRL 70, 1895, 1993).  So the Bell measurement is two uniform
+    bits m0, m1, and the received amplitudes are the sent ones.
     """
     sent = _check_qubit(qubit)
     _, transcript, ledger = ae_establish(n, sender, receiver, rng)
-    outcome = int(4 * rng.uniform())
-    for bit in (outcome >> 1, outcome & 1):
+    for bit in rng.bits(2):
         _append(transcript, ledger, anon_send(n, sender, bit, rng))
     return Run(sent, transcript, ledger)
 

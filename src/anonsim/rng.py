@@ -26,15 +26,11 @@ port mirrors these numpy internals:
   range of exactly 2**32, Lemire on 64-bit words above that; so bit()
   is the top bit of one 32-bit draw.
 
-`RngStream.draw_blocks` replays many repetitions of a fixed pattern of
-uniform()/bit() calls from one read of numpy's raw 64-bit words, so
+Every draw the protocols make is a bit.  `RngStream.bit_rows` replays
+many calls of bits(width) from one read of numpy's raw 64-bit words, so
 batched sampled verdicts see exactly the values, and leave the stream in
-exactly the state, of the scalar calls.  Every U takes a word, and a B
-the buffered half if there is one, else a fresh word's low half; so the
-words repeat with a period of one repetition, or two when an odd number
-of Bs makes the buffer alternate, and their layout is worked out once
-per period, not once per draw.  It is the only code here that loads
-numpy, and it draws at most BLOCK_TRIALS repetitions at a time, so its
+exactly the state, of the scalar calls.  It is the only code here that
+loads numpy, and it draws at most BLOCK_TRIALS calls at a time, so its
 memory is bounded whatever the count.
 """
 
@@ -60,7 +56,7 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 
-# Repetitions of a draw pattern replayed per read of the raw generator.
+# Calls of bits(width) replayed per read of the raw generator.
 BLOCK_TRIALS = 4096
 
 
@@ -142,7 +138,7 @@ class RngStream:
         self._state = (state * _PCG_MULT + self._inc) & _MASK128
         self._has_half = False
         self._half = 0
-        # draw_blocks' numpy bit generator, made on its first call; it
+        # bit_rows' numpy bit generator, made on its first call; it
         # holds no state between reads
         self._bitgen = None
 
@@ -223,73 +219,39 @@ class RngStream:
         """Uniform float in [0, 1)."""
         return (self._next64() >> 11) * 2.0**-53
 
-    def draw_blocks(self, pattern: str, trials: int) -> Iterator[tuple]:
-        """Replay `trials` repetitions of a draw pattern, a block at a time.
+    def bit_rows(self, width: int, trials: int) -> Iterator:
+        """Replay `trials` calls of bits(width), a block at a time.
 
-        `pattern` has one letter per draw of one repetition: `U` for
-        uniform(), `B` for bit().  Yields, for each block of at most
-        BLOCK_TRIALS repetitions, a float64 array of the U values and a
-        uint8 array of the B values, one row per repetition and one
-        column per letter in pattern order.  The values, and the state
-        the stream is left in, are those of making the same scalar calls
-        in the same order.
-
-        Each block works out one period's word layout (module docstring):
-        column c >= 1 is the period's c-th raw word, a U reads a column
-        and a B a column's low or high half.  A B that reads the half
-        buffered before its period reads column 0, the previous period's
-        last half-split word (for the first period, the stream's buffered
-        half).  The block's words fill a periods x (1 + words) matrix,
-        and the Us and the Bs are one column gather each.
+        Yields, for each block of at most BLOCK_TRIALS calls, a uint8
+        array with one row per call.  The values, and the state the stream
+        is left in, are those of the scalar calls, which read the buffered
+        half, if any, then each fresh word's low half and high half in
+        turn; an odd count of fresh bits leaves the last word's high half
+        buffered.
         """
         import numpy as np
 
-        if trials < 0:
-            raise ValueError(f"trial count must be nonnegative, got {trials}")
-        if set(pattern) - {"U", "B"}:
-            raise ValueError(f"draw pattern takes only 'U' and 'B', got {pattern!r}")
-        reps = 1 + pattern.count("B") % 2
+        if width < 0 or trials < 0:
+            raise ValueError(f"width and trials must be nonnegative, got {width}, {trials}")
         if self._bitgen is None:
             self._bitgen = np.random.PCG64(0)
         for start in range(0, trials, BLOCK_TRIALS):
             count = min(BLOCK_TRIALS, trials - start)
-            buffered, width, split = self._has_half, 0, 0
-            u_cols, b_cols, shifts, ends = [], [], [], []
-            for _ in range(reps):
-                for letter in pattern:
-                    if letter == "U":
-                        width += 1
-                        u_cols.append(width)
-                    elif buffered:
-                        b_cols.append(split)
-                        shifts.append(63)
-                        buffered = False
-                    else:
-                        width += 1
-                        b_cols.append(width)
-                        shifts.append(31)
-                        split, buffered = width, True
-                ends.append((width, buffered, split))  # after each repetition
-            periods = -(-count // reps)
-            used, buffered, split = ends[count - (periods - 1) * reps - 1]
+            lead = int(self._has_half and width > 0)
+            fresh = count * width - lead
             self._bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                   "state": {"state": self._state, "inc": self._inc}}
-            words = self._bitgen.random_raw((periods - 1) * width + used)
+            words = self._bitgen.random_raw((fresh + 1) // 2)
             self._state = self._bitgen.state["state"]["state"]
-            # a partial last period leaves columns past `used` unset, in rows cut below
-            matrix = np.empty((periods, 1 + width), dtype=np.uint64)
-            matrix[:-1, 1:] = words[: len(words) - used].reshape(periods - 1, width)
-            matrix[-1, 1 : 1 + used] = words[len(words) - used :]
-            matrix[0, 0] = self._half << 32
-            matrix[1:, 0] = matrix[:-1, ends[-1][2]]
-            uniforms = (matrix[:, u_cols] >> np.uint64(11)) * 2.0**-53
-            shifts = np.array(shifts, dtype=np.uint64)
-            bits = ((matrix[:, b_cols] >> shifts) & np.uint64(1)).astype(np.uint8)
-            self._has_half = buffered
-            if buffered and split:  # else no B split a word: the half is as it was
-                self._half = int(matrix[-1, split] >> np.uint64(32))
-            rows = periods * reps
-            yield uniforms.reshape(rows, -1)[:count], bits.reshape(rows, -1)[:count]
+            bits = np.empty(lead + 2 * len(words), dtype=np.uint8)
+            bits[:lead] = self._half >> 31
+            bits[lead::2] = (words >> np.uint64(31)) & np.uint64(1)
+            bits[lead + 1 :: 2] = words >> np.uint64(63)
+            if fresh & 1:
+                self._half, self._has_half = int(words[-1] >> np.uint64(32)), True
+            elif lead:
+                self._has_half = False
+            yield bits[: count * width].reshape(count, width)
 
     def spawn(self, *coords) -> "RngStream":
         """Child stream with an id derived from this stream's address."""

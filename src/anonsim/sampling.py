@@ -1,14 +1,14 @@
 """Batched samplers for sampled anonymity verdicts.
 
-A sampler draws all of one candidate's trials at once: it lays each
-trial's view out as one row of bits, from `RngStream.draw_blocks`,
-which replays the draws of running the protocol trial after trial.  A
-GHZ view is the run's broadcast bits, since each draw a GHZ protocol
-records is a bit it broadcasts; an XOR-network view adds the watched
-players' keys.  `view_counts` turns the rows of all candidates into
+A sampler draws all of one candidate's trials at once: every draw a
+protocol makes is a bit, so `RngStream.bit_rows` replays one run's
+bits per row, trial after trial, and the sampler lays each row out as
+the trial's view.  A GHZ view is the run's broadcast bits, since each
+draw a GHZ protocol records is a bit it broadcasts; an XOR-network view
+adds the watched players' keys.  `view_counts` turns the rows of all candidates into
 one candidates x views count matrix; apart from the blocks of draws,
 memory is one byte per view bit per trial, plus one 8-byte code per
-trial.  This module and `RngStream.draw_blocks` are the package's
+trial.  This module and `RngStream.bit_rows` are the package's
 only numpy code; no run command and no exact verdict imports them.
 """
 
@@ -22,19 +22,19 @@ from .anonymity import Roles
 from .protocols import xor_pass
 from .rng import RngStream
 
-# The samplers below turn blocks of draws from RngStream.draw_blocks
-# into view rows.  Each pattern lists one run's draws in the order the
-# run function makes them.
+# The samplers below turn blocks of bits from RngStream.bit_rows into
+# view rows.  Each width is the number of bits one run draws, in the
+# order the run function draws them.
 
 
 def _sample_rows(
     rng: RngStream,
-    pattern: str,
+    width: int,
     trials: int,
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """`rows(uniforms, bits)` of every block of `trials` runs, stacked."""
-    return np.concatenate([rows(u, b) for u, b in rng.draw_blocks(pattern, trials)])
+    """`rows(bits)` of every block of `trials` runs, stacked."""
+    return np.concatenate([rows(b) for b in rng.bit_rows(width, trials)])
 
 
 def _parity_round(lead: np.ndarray, parity) -> np.ndarray:
@@ -54,14 +54,14 @@ def _ae_columns(r: Roles) -> np.ndarray:
 def _anon_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
-    return _sample_rows(rng, "B" * (r.n - 1), trials, lambda u, b: _parity_round(b, r.d))
+    return _sample_rows(rng, r.n - 1, trials, lambda b: _parity_round(b, r.d))
 
 
 def _ae_sample(
     r: Roles, watchers: Sequence[int], trials: int, rng: RngStream
 ) -> np.ndarray:
     columns = _ae_columns(r)
-    return _sample_rows(rng, "B" * r.n, trials, lambda u, b: b[:, columns])
+    return _sample_rows(rng, r.n, trials, lambda b: b[:, columns])
 
 
 def _anonq_sample(
@@ -70,15 +70,14 @@ def _anonq_sample(
     n = r.n
     columns = _ae_columns(r)
 
-    def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # anonq_send's Bell outcome 2*m0 + m1, from its one uniform
-        bell = (u[:, 0] * 4).astype(np.uint8)
-        pair = b[:, columns]
-        m0 = _parity_round(b[:, n : 2 * n - 1], bell >> 1)
-        m1 = _parity_round(b[:, 2 * n - 1 :], bell & 1)
-        return np.column_stack([pair, m0, m1])
+    def rows(b: np.ndarray) -> np.ndarray:
+        # ae_establish's n bits, anonq_send's Bell outcome m0, m1, then
+        # the n - 1 free bits of each of their two broadcasts
+        m0 = _parity_round(b[:, n + 2 : 2 * n + 1], b[:, n])
+        m1 = _parity_round(b[:, 2 * n + 1 :], b[:, n + 1])
+        return np.column_stack([b[:, columns], m0, m1])
 
-    return _sample_rows(rng, "B" * n + "U" + "B" * (2 * n - 2), trials, rows)
+    return _sample_rows(rng, 3 * n, trials, rows)
 
 
 def _dcnet_sample(
@@ -86,12 +85,12 @@ def _dcnet_sample(
 ) -> np.ndarray:
     edges = sorted(r.graph.edges)
 
-    def rows(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def rows(b: np.ndarray) -> np.ndarray:
         announced, incident = xor_pass(r.n, edges, b.T)
         announced[r.sender] = announced[r.sender] ^ r.d
         return np.column_stack(announced + [k for p in watchers for k in incident[p]])
 
-    return _sample_rows(rng, "B" * len(edges), trials, rows)
+    return _sample_rows(rng, len(edges), trials, rows)
 
 
 # One sampler per protocol of anonymity.PROTOCOLS.  `SAMPLERS[protocol](roles,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from .protocols import RandomnessLedger, Transcript
 
@@ -26,10 +25,10 @@ def run_record(
 ) -> dict:
     """Assemble the canonical JSON structure for one protocol run.
 
-    `format` is 2; it grows when seeded record bytes change meaning.
+    `format` is 3; it grows when seeded record bytes change meaning.
     """
     record = {
-        "format": 2,
+        "format": 3,
         "protocol": protocol,
         "n": n,
         "seed": seed,
@@ -49,10 +48,13 @@ def dumps(obj: dict) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Atomic text write: never leaves a partial file behind."""
+    """Atomic text write: never leaves a partial file behind.  The file
+    gets the mode a plain open() would, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+    # 0666, not tempfile.mkstemp's 0600, so the umask decides
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

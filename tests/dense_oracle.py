@@ -222,6 +222,52 @@ def apply_hadamard_all(state: DenseState) -> DenseState:
     return out
 
 
+def _measured_axes_first(
+    state: DenseState, qubits: tuple[int, ...]
+) -> tuple[np.ndarray, list[int]]:
+    """The amplitudes as a tensor with the measured qubits' axes in
+    front, in `qubits` order, and those axes' places in the state."""
+    k = len(qubits)
+    if len(set(qubits)) != k or k == 0:
+        raise ValueError("measured qubits must be distinct and nonempty")
+    n = state.num_qubits
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    psi = state.amplitudes.reshape((2,) * n)
+    axes = [n - 1 - q for q in qubits]
+    return np.moveaxis(psi, axes, list(range(k))), axes
+
+
+def outcome_probabilities(state: DenseState, qubits: tuple[int, ...] | list[int]) -> np.ndarray:
+    """P(joint outcome) of measuring the given qubits in the computational
+    basis, indexed by the outcome bits read as a binary number, qubits[0]'s
+    outcome the top bit."""
+    qubits = tuple(qubits)
+    psi_t, _ = _measured_axes_first(state, qubits)
+    return (np.abs(psi_t) ** 2).reshape(1 << len(qubits), -1).sum(axis=1)
+
+
+def dense_collapse(
+    state: DenseState, qubits: tuple[int, ...] | list[int], outcomes: tuple[int, ...]
+) -> DenseState:
+    """The renormalized state after the given qubits measured `outcomes`
+    (aligned with `qubits`), the measured qubits collapsed."""
+    qubits = tuple(qubits)
+    psi_t, axes = _measured_axes_first(state, qubits)
+    sel = psi_t[tuple(outcomes)]
+    p = float(np.sum(np.abs(sel) ** 2))
+    if p <= 0.0:
+        raise RuntimeError("sampled a zero-probability branch")
+    collapsed = np.zeros_like(psi_t)
+    collapsed[tuple(outcomes)] = sel / math.sqrt(p)
+    collapsed = np.moveaxis(collapsed, list(range(len(qubits))), axes)
+    new = DenseState.__new__(DenseState)
+    new.num_qubits = state.num_qubits
+    new.amplitudes = np.ascontiguousarray(collapsed.reshape(-1))
+    return new
+
+
 def dense_measure(
     state: DenseState, qubits: tuple[int, ...] | list[int], rng: RngStream
 ) -> tuple[tuple[int, ...], DenseState]:
@@ -235,31 +281,11 @@ def dense_measure(
     """
     qubits = tuple(qubits)
     k = len(qubits)
-    if len(set(qubits)) != k or k == 0:
-        raise ValueError("measured qubits must be distinct and nonempty")
-    n = state.num_qubits
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    psi = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - q for q in qubits]
-    psi_t = np.moveaxis(psi, axes, list(range(k)))
-    probs = (np.abs(psi_t) ** 2).reshape(1 << k, -1).sum(axis=1)
-    cum = np.cumsum(probs)
+    cum = np.cumsum(outcome_probabilities(state, qubits))
     cum[-1] = 1.0
     idx = int(np.searchsorted(cum, rng.uniform(), side="right"))
     outcomes = tuple((idx >> (k - 1 - i)) & 1 for i in range(k))
-    sel = psi_t[tuple(outcomes)]
-    p = probs[idx]
-    if p <= 0.0:
-        raise RuntimeError("sampled a zero-probability branch")
-    collapsed = np.zeros_like(psi_t)
-    collapsed[tuple(outcomes)] = sel / math.sqrt(p)
-    collapsed = np.moveaxis(collapsed, list(range(k)), axes)
-    new = DenseState.__new__(DenseState)
-    new.num_qubits = n
-    new.amplitudes = np.ascontiguousarray(collapsed.reshape(-1))
-    return outcomes, new
+    return outcomes, dense_collapse(state, qubits, outcomes)
 
 
 def bell_measure(
@@ -275,13 +301,14 @@ def bell_measure(
     collapsed to |m0>,|m1> after the basis-change circuit.
     """
     (m0, m1), post = dense_measure(
-        _bell_basis(state, qubit_a, qubit_b), (qubit_a, qubit_b), rng
+        bell_basis(state, qubit_a, qubit_b), (qubit_a, qubit_b), rng
     )
     return m0, m1, post
 
 
-def _bell_basis(state: DenseState, qubit_a: int, qubit_b: int) -> DenseState:
-    """Rotate the Bell basis of (qubit_a, qubit_b) onto the computational one."""
+def bell_basis(state: DenseState, qubit_a: int, qubit_b: int) -> DenseState:
+    """Rotate the Bell basis of (qubit_a, qubit_b) onto the computational
+    one: bell_measure's outcome (m0, m1) becomes qubit_a = m0, qubit_b = m1."""
     if qubit_a == qubit_b:
         raise ValueError("Bell measurement needs two distinct qubits")
     work = dense_apply_gate(state, CNOT, (qubit_b, qubit_a))

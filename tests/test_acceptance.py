@@ -74,7 +74,7 @@ def _stream(*coords) -> RngStream:
 
 def _anon_round(n: int, sender: int, d: int) -> dict:
     """anon's one broadcast round as the exact verdicts model it."""
-    _, odds = PROTOCOLS["anon"].exact.args
+    (odds,) = PROTOCOLS["anon"].exact.args
     (odd,) = odds(Roles(n, sender, (sender + 1) % n, d, None))
     return _parity_round(n, odd)
 

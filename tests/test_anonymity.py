@@ -133,7 +133,7 @@ def _dcnet_outcomes(r: Roles):
 def _round_list(protocol: str):
     """A GHZ protocol's exact model in PROTOCOLS: roles -> one run's list
     of independent broadcast rounds, each as its odd-parity probability."""
-    _, odds = PROTOCOLS[protocol].exact.args
+    (odds,) = PROTOCOLS[protocol].exact.args
     return odds
 
 
@@ -722,7 +722,7 @@ def test_count_matrix_matches_per_trial_runs(protocol, n, target, graph, hijack,
 
 
 def test_count_matrix_matches_per_trial_runs_across_a_block_boundary():
-    # UBBB has an odd number of Bs: the first candidate's odd trial count
+    # anon n=4 draws 3 bits a run: the first candidate's odd trial count
     # leaves half a word buffered, so the second candidate's blocks start,
     # and cross the block boundary, with a half buffered (colluder 3, d 1)
     _assert_count_matrix_matches_per_trial_runs(

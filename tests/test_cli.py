@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -250,7 +254,7 @@ def test_collision_summary_and_record(tmp_path, capsys):
     assert "first_odd_round=1" in stdout
     record = _load(out)
     jsonschema.validate(record, RUN_SCHEMA)
-    assert record["format"] == 2
+    assert record["format"] == 3
     assert record["verdicts"]["first_odd_round"] == 1
     # both executed rounds are recorded, even then odd
     assert [_xor(rnd) for rnd in record["rounds"]] == record["verdicts"]["parities"] == [0, 1]
@@ -351,6 +355,22 @@ def test_out_under_a_regular_file_is_config_error(tmp_path, capsys):
     assert stderr.startswith("error:")
     assert len(stderr.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, capsys, umask, mode):
+    out = tmp_path / "run.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = _run(
+            capsys, "anon", "--n", "4", "--sender", "0", "--d", "1", "--seed", "1",
+            "--out", str(out),
+        )
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_keygraph_audit(tmp_path, capsys):
@@ -457,6 +477,35 @@ def test_verdict_sampled_mode(tmp_path, capsys):
     assert report["mode"] == "sampled"
     assert report["trials"] == 2000
     assert report["max_tv"] is not None
+
+
+_ADDRESS_SPACE_CHILD = """
+import resource, sys
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from anonsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("protocol, limit", [("anon", 12), ("ae", 12), ("anonq", 6)])
+def test_huge_exact_verdict_is_refused_before_any_work_on_n(tmp_path, protocol, limit):
+    # in a child whose address space is capped at 1 GiB, so that work
+    # that grows with n fails at once instead of loading the machine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
+    out = tmp_path / "v.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _ADDRESS_SPACE_CHILD, "verdict", "--protocol", protocol,
+         "--n", "1000000000", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_CONFIG, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == (
+        f"error: exact enumeration supports n <= {limit} for this protocol; "
+        "use sampled mode for larger groups\n"
+    )
+    assert not out.exists()
 
 
 def test_verdict_two_players_is_config_error(tmp_path, capsys):

@@ -26,10 +26,12 @@ from dense_oracle import (
     PAULI_X,
     PAULI_Z,
     DenseState,
-    bell_measure,
+    bell_basis,
     dense_apply_gate,
+    dense_collapse,
     fidelity,
     ghz_dense,
+    outcome_probabilities,
     tensor,
     to_dense,
 )
@@ -322,10 +324,16 @@ def _dense_anonq_send(n, sender, receiver, qubit, rng):
     what anonq_send draws: ae_establish's pair, a Bell measurement of
     the qubit against the sender's half, the two anonymous broadcasts of
     its outcome (m0, m1), then Z^m0 and X^m1 on the receiver's half.
+    The four outcomes are first checked to be equally likely on the
+    dense state, so the outcome is two uniform bits.
     Returns (m0, m1), the receiver's amplitudes, transcript and ledger."""
     pair, transcript, ledger = ae_establish(n, sender, receiver, rng)
     # qubit 0: input, qubit 1: sender's half, qubit 2: receiver's half
-    m0, m1, post = bell_measure(tensor(DenseState(1, qubit), to_dense(pair)), 0, 1, rng)
+    basis = bell_basis(tensor(DenseState(1, qubit), to_dense(pair)), 0, 1)
+    # P(m0, m1) at index 2*m0 + m1
+    assert np.abs(outcome_probabilities(basis, (0, 1)) - 0.25).max() <= 1e-12
+    m0, m1 = rng.bits(2)
+    post = dense_collapse(basis, (0, 1), (m0, m1))
     for bit in (m0, m1):
         _, t, l = anon_send(n, sender, bit, rng)
         transcript.extend(t)

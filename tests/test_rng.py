@@ -1,4 +1,4 @@
-"""Scalar draws against numpy's generator, and their block replay."""
+"""Scalar draws against numpy's generator, and their row replay."""
 
 from __future__ import annotations
 
@@ -12,121 +12,101 @@ from hypothesis import strategies as st
 from anonsim import rng as rng_module
 from anonsim.rng import BLOCK_TRIALS, RngStream
 
-patterns = st.text(alphabet="UB", max_size=9)
+widths = st.integers(0, 9)
 
 
-def _scalar_draws(stream: RngStream, pattern: str, trials: int):
-    """The reference: one scalar call per letter, trial after trial."""
-    uniforms, bits = [], []
-    for _ in range(trials):
-        uniforms.append([])
-        bits.append([])
-        for letter in pattern:
-            if letter == "U":
-                uniforms[-1].append(stream.uniform())
-            else:
-                bits[-1].append(stream.bit())
-    return uniforms, bits
-
-
-def _block_draws(stream: RngStream, pattern: str, trials: int):
-    blocks = list(stream.draw_blocks(pattern, trials))
-    shape_u = (trials, pattern.count("U"))
-    shape_b = (trials, pattern.count("B"))
+def _row_draws(stream: RngStream, width: int, trials: int) -> np.ndarray:
+    blocks = list(stream.bit_rows(width, trials))
     if not blocks:
-        return np.empty(shape_u), np.empty(shape_b, dtype=np.uint8)
-    uniforms = np.concatenate([u for u, _ in blocks])
-    bits = np.concatenate([b for _, b in blocks])
-    assert uniforms.shape == shape_u and uniforms.dtype == np.float64
-    assert bits.shape == shape_b and bits.dtype == np.uint8
-    return uniforms, bits
+        return np.empty((trials, width), dtype=np.uint8)
+    rows = np.concatenate(blocks)
+    assert rows.shape == (trials, width) and rows.dtype == np.uint8
+    return rows
 
 
-def _lead_in(stream: RngStream, lead_bits: int, lead_uniform: bool) -> None:
+def _assert_rows_replay_scalar(seed, stream_id, width, trials, lead_bits):
+    scalar = RngStream(seed, stream_id)
+    rows = RngStream(seed, stream_id)
     # an odd number of bit() calls leaves half a word buffered
     for _ in range(lead_bits):
-        stream.bit()
-    if lead_uniform:
-        stream.uniform()
-
-
-def _assert_block_replays_scalar(seed, stream_id, pattern, trials, lead_bits, lead_uniform):
-    scalar = RngStream(seed, stream_id)
-    block = RngStream(seed, stream_id)
-    _lead_in(scalar, lead_bits, lead_uniform)
-    _lead_in(block, lead_bits, lead_uniform)
-    want_u, want_b = _scalar_draws(scalar, pattern, trials)
-    got_u, got_b = _block_draws(block, pattern, trials)
-    assert got_u.tolist() == np.reshape(want_u, got_u.shape).tolist()
-    assert got_b.tolist() == np.reshape(want_b, got_b.shape).tolist()
+        assert rows.bit() == scalar.bit()
+    want = [scalar.bits(width) for _ in range(trials)]
+    assert _row_draws(rows, width, trials).tolist() == [list(bits) for bits in want]
     # the stream is left where the scalar calls leave it
     for _ in range(3):
-        assert block.bit() == scalar.bit()
-        assert block.uniform() == scalar.uniform()
-    assert block.bits(5) == scalar.bits(5)
-    assert block.integer(0, 9) == scalar.integer(0, 9)
+        assert rows.bit() == scalar.bit()
+        assert rows.uniform() == scalar.uniform()
+    assert rows.bits(5) == scalar.bits(5)
+    assert rows.integer(0, 9) == scalar.integer(0, 9)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     stream_id=st.integers(0, 2**64 - 1),
-    pattern=patterns,
+    width=widths,
     trials=st.integers(0, 40),
     lead_bits=st.integers(0, 3),
-    lead_uniform=st.booleans(),
 )
-def test_block_draws_replay_scalar_calls(
-    seed, stream_id, pattern, trials, lead_bits, lead_uniform
-):
-    _assert_block_replays_scalar(seed, stream_id, pattern, trials, lead_bits, lead_uniform)
+def test_block_draws_replay_scalar_calls(seed, stream_id, width, trials, lead_bits):
+    _assert_rows_replay_scalar(seed, stream_id, width, trials, lead_bits)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    pattern=patterns,
+    width=widths,
     trials=st.integers(1, 30),
     block=st.integers(1, 7),
     lead_bits=st.integers(0, 3),
 )
-def test_partial_last_block_replays_scalar_calls(seed, pattern, trials, block, lead_bits):
+def test_partial_last_block_replays_scalar_calls(seed, width, trials, block, lead_bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "BLOCK_TRIALS", block)
-        _assert_block_replays_scalar(seed, 0, pattern, trials, lead_bits, False)
+        _assert_rows_replay_scalar(seed, 0, width, trials, lead_bits)
 
 
 @pytest.mark.parametrize(
-    "pattern",
+    "width",
     [
-        "UBBB",  # anon n=4: an odd number of Bs
-        "UBBBBBBB",  # anon n=8
-        "BBB",  # ae n=3
-        "BBBBBB",  # dcnet complete:4
-        "BBBB" + "U" + ("U" + "BBB") * 2,  # anonq n=4
+        pytest.param(3, id="anon4"),
+        pytest.param(7, id="anon8"),
+        pytest.param(3, id="ae3"),
+        pytest.param(6, id="dcnet-complete4"),
+        pytest.param(12, id="anonq4"),
     ],
 )
 @pytest.mark.parametrize(
     "trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3]
 )
 @pytest.mark.parametrize("lead_bits", [0, 1])
-def test_blocks_of_the_real_size_replay_scalar_calls(pattern, trials, lead_bits):
-    # the samplers' own patterns, next to and across block boundaries
-    _assert_block_replays_scalar(7, 3, pattern, trials, lead_bits, False)
+def test_blocks_of_the_real_size_replay_scalar_calls(width, trials, lead_bits):
+    # the samplers' own widths, next to and across block boundaries
+    _assert_rows_replay_scalar(7, 3, width, trials, lead_bits)
 
 
 def test_blocks_hold_at_most_the_block_constant(monkeypatch):
     monkeypatch.setattr(rng_module, "BLOCK_TRIALS", 4)
-    sizes = [len(b) for _, b in RngStream(1).draw_blocks("UBB", 10)]
-    assert sizes == [4, 4, 2]
+    assert [b.shape for b in RngStream(1).bit_rows(3, 10)] == [(4, 3), (4, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("lead_bits", [0, 1])
+def test_rows_of_width_zero_draw_nothing(lead_bits):
+    stream, fresh = RngStream(2), RngStream(2)
+    for _ in range(lead_bits):
+        stream.bit(), fresh.bit()
+    assert [b.shape for b in stream.bit_rows(0, BLOCK_TRIALS + 1)] == [(BLOCK_TRIALS, 0), (1, 0)]
+    assert stream.bits(9) == fresh.bits(9)
 
 
 def test_block_draws_reject_bad_arguments():
     stream = RngStream(0)
-    with pytest.raises(ValueError, match="pattern"):
-        list(stream.draw_blocks("UBX", 3))
     with pytest.raises(ValueError, match="nonnegative"):
-        list(stream.draw_blocks("U", -1))
+        list(stream.bit_rows(-1, 3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(stream.bit_rows(3, -1))
+    # nothing was drawn
+    assert stream.bits(4) == RngStream(0).bits(4)
 
 
 # ---- the scalar draws against numpy's generator ----------------------------
@@ -173,24 +153,15 @@ def _numpy_call(gen: np.random.Generator, call):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=words, stream_id=words, calls=calls, pattern=patterns,
-       trials=st.integers(0, 12))
-def test_draws_match_numpy_default_rng(seed, stream_id, calls, pattern, trials):
+@given(seed=words, stream_id=words, calls=calls, width=widths, trials=st.integers(0, 12))
+def test_draws_match_numpy_default_rng(seed, stream_id, calls, width, trials):
     stream = RngStream(seed, stream_id)
     gen = np.random.default_rng((seed, stream_id))
     for call in calls:
         assert _call(stream, call) == _numpy_call(gen, call), call
-    # the block replay after those draws, against the same calls on numpy
-    got_u, got_b = _block_draws(stream, pattern, trials)
-    for trial in range(trials):
-        want_u, want_b = [], []
-        for letter in pattern:
-            if letter == "U":
-                want_u.append(float(gen.random()))
-            else:
-                want_b.append(int(gen.integers(0, 2)))
-        assert got_u[trial].tolist() == want_u
-        assert got_b[trial].tolist() == want_b
+    # the row replay after those draws, against numpy's bounded bits
+    want = gen.integers(0, 2, size=(trials, width))
+    assert _row_draws(stream, width, trials).tolist() == want.tolist()
     # raw words next: the full int64 range adds 2**63 to one raw word
     raw = gen.bit_generator.random_raw(3).tolist()
     assert [stream.integer(-(2**63), 2**63 - 1) + 2**63 for _ in range(3)] == raw
