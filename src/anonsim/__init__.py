@@ -26,12 +26,9 @@ _EXPORTS = {
         "vertex_connectivity",
     ),
     "protocols": (
-        "BroadcastEntry",
         "CollisionOutcome",
         "CollisionVerdict",
-        "RandomnessLedger",
         "Run",
-        "Transcript",
         "ae_establish",
         "anon_multiparty_parity",
         "anon_send",

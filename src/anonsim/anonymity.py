@@ -49,9 +49,10 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, product
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence,
+)
 
-from .keygraph import KeySharingGraph, components, is_connected
 from .protocols import (
     Run,
     _validate_bit,
@@ -65,8 +66,16 @@ from .protocols import (
 from .qsim import apply_rz, make_ghz
 from .rng import RngStream
 
+if TYPE_CHECKING:
+    from .keygraph import KeySharingGraph
+
 DEFAULT_SAMPLED_TRIALS = 10_000
 DEFAULT_TV_TOLERANCE = 0.05
+# The most bytes sampled mode may lay out, counted before anything is
+# drawn: each trial's view takes a byte per bit and about 64 more to
+# code, sort and count it, and the candidates x distinct views count
+# matrix takes 8 bytes a cell.
+MAX_SAMPLED_BYTES = 1 << 28
 
 
 def _parity_round(n: int, odd: Fraction) -> dict[tuple[int, ...], Fraction]:
@@ -99,6 +108,8 @@ class Roles(NamedTuple):
 
 
 def _dcnet_check(n: int, target: str, graph: Optional[KeySharingGraph]) -> None:
+    from .keygraph import is_connected
+
     _validate_group(n)
     if target != "sender":
         raise ValueError("the XOR network models sender anonymity only")
@@ -133,6 +144,8 @@ def _dcnet_exact(cast: Mapping[int, Roles], watchers: Sequence[int]) -> Fraction
     the posterior is one over the fewest candidates in such a block; for
     d = 0 it is the baseline.
     """
+    from .keygraph import components
+
     roles = next(iter(cast.values()))
     if roles.d == 0:
         return Fraction(1, len(cast))
@@ -155,14 +168,16 @@ class ProtocolSpec(NamedTuple):
     the sender's flip of a fresh GHZ state; every round of ae and anonq
     is uniform bits, 1/2.  Each draw a GHZ run records is a bit it
     broadcasts, so its views are its round bit strings, whoever is
-    watched.  `exact_limit` is the largest group `exact` enumerates,
-    None for no limit.  The protocol's batched sampler is
-    `sampling.SAMPLERS[name]`.
+    watched.  `view_bits(n, graph)` is the widest view of one run, in
+    bits, that sampled mode lays out.  `exact_limit` is the largest
+    group `exact` enumerates, None for no limit.  The protocol's batched
+    sampler is `sampling.SAMPLERS[name]`.
     """
 
     run: Callable[[Roles, RngStream], Run]
     exact: Callable[[Mapping[int, Roles], Sequence[int]], Fraction]
     check: Callable[[int, str, Optional[KeySharingGraph]], None]
+    view_bits: Callable[[int, Optional[KeySharingGraph]], int]
     exact_limit: Optional[int] = None
 
 
@@ -202,24 +217,29 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             lambda r: [int(apply_rz(make_ghz(r.n), r.sender, r.d, 0).is_phase_pi())],
         ),
         _anon_check,
+        lambda n, graph: n,
         exact_limit=12,
     ),
     "ae": ProtocolSpec(
         lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
         partial(_enumerated, lambda r: [_HALF]),
         _ghz_check,
+        lambda n, graph: n,
         exact_limit=12,
     ),
     "anonq": ProtocolSpec(
         lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
         partial(_enumerated, lambda r: [_HALF] * 3),
         _ghz_check,
+        lambda n, graph: 3 * n,
         exact_limit=6,
     ),
     "dcnet": ProtocolSpec(
         lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng),
         _dcnet_exact,
         _dcnet_check,
+        # the announcements, then every watcher's keys: each key twice
+        lambda n, graph: n + 2 * len(graph.edges),
     ),
 }
 
@@ -309,7 +329,8 @@ def anonymity_verdict(
     Sampled mode estimates each candidate's view distribution from
     `trials` runs (at least one, checked in either mode) and passes iff the largest pairwise
     total variation distance is at most `tolerance` (default 0.05); it
-    needs an RngStream.
+    needs an RngStream, and refuses a verdict whose views and counts
+    would take more than MAX_SAMPLED_BYTES before it builds anything.
 
     `colluders` picks the corrupted set explicitly (default: the t
     highest-index players).  With `hijack_all_randomness` the adversary
@@ -339,9 +360,7 @@ def anonymity_verdict(
             f"exact enumeration supports n <= {spec.exact_limit} for this protocol; "
             "use sampled mode for larger groups"
         )
-    if colluders is None:
-        colluder_set = frozenset(range(n - t, n))
-    else:
+    if colluders is not None:
         colluder_set = frozenset(colluders)
         if t and len(colluder_set) != t:
             raise ValueError(
@@ -350,6 +369,16 @@ def anonymity_verdict(
         t = len(colluder_set)
     if t > n - 2:
         raise ValueError(f"at most n-2={n - 2} colluders are modeled, got t={t}")
+    if mode == "sampled":
+        bits, rows = spec.view_bits(n, graph), (n - t) * trials
+        size = rows * (bits + 64) + 8 * (n - t) * min(rows, 1 << min(bits, 62))
+        if size > MAX_SAMPLED_BYTES:
+            raise ValueError(
+                f"sampled mode lays out at most {MAX_SAMPLED_BYTES} bytes of views "
+                f"and counts, and this verdict needs {size}; use fewer trials"
+            )
+    if colluders is None:
+        colluder_set = frozenset(range(n - t, n))
     _validate_players(n, "colluder", colluder_set)
 
     candidates = tuple(sorted(set(range(n)) - colluder_set))

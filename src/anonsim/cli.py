@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import io
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import keygraph, protocols, qsim, serialize
+from . import protocols, qsim, serialize
 from .rng import RngStream, check_word, derive_stream_id
+
+if TYPE_CHECKING:
+    from .keygraph import KeySharingGraph
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,6 +34,21 @@ OUTDIR_ENV = "ANONSIM_OUTDIR"
 # anonymity.PROTOCOLS, named here so that building the parser does not
 # load the anonymity module
 VERDICT_PROTOCOLS = ("anon", "ae", "anonq", "dcnet")
+
+# The largest inputs a command builds.  A run's record holds a broadcast
+# and a ledger entry for each of its players, and an XOR-network record
+# two ledger entries for each key, so a larger group or graph is refused
+# before anything that grows with it is allocated.
+MAX_PLAYERS = 10_000
+MAX_KEYS = 100_000
+
+# the number of keys (edges) of each graph family on n nodes
+GRAPH_FAMILY_KEYS = {
+    "complete": lambda n: n * (n - 1) // 2,
+    "cycle": lambda n: n,
+    "star": lambda n: n - 1,
+    "path": lambda n: n - 1,
+}
 
 
 def _out_path(args, default_name: str) -> str:
@@ -64,13 +81,27 @@ def _parse_span(text: str, minimum: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_graph(spec: str) -> keygraph.KeySharingGraph:
-    """'complete:5', 'cycle:6', 'star:5', 'path:4', or a file path."""
+def _check_players(n: int) -> None:
+    if n > MAX_PLAYERS:
+        raise ValueError(f"--n {n}: at most {MAX_PLAYERS} players are supported")
+
+
+def _parse_graph(spec: str) -> KeySharingGraph:
+    """'complete:5', 'cycle:6', 'star:5', 'path:4', or a file path.  A
+    family's key count is checked before any of its edges is built."""
+    from . import keygraph
+
     if ":" in spec:
         kind, _, size = spec.partition(":")
-        if kind not in ("complete", "cycle", "star", "path"):
+        if kind not in GRAPH_FAMILY_KEYS:
             raise ValueError(f"unknown graph family {kind!r}")
-        return getattr(keygraph.KeySharingGraph, kind)(int(size))
+        nodes = int(size)
+        keys = GRAPH_FAMILY_KEYS[kind](nodes)
+        if keys > MAX_KEYS:
+            raise ValueError(
+                f"--graph {spec} has {keys} keys; at most {MAX_KEYS} are supported"
+            )
+        return getattr(keygraph.KeySharingGraph, kind)(nodes)
     if not os.path.exists(spec):
         raise ValueError(f"graph file not found: {spec}")
     return keygraph.load_graph(spec)
@@ -98,17 +129,17 @@ def _record_run(
 ) -> int:
     """Write one run record, print its summary; exit 3 if the run aborted."""
     record = serialize.run_record(
-        protocol, n, args.seed, args.stream_id, run.transcript, run.ledger,
-        verdicts, config=config,
+        protocol, n, args.seed, args.stream_id, run, verdicts, config=config
     )
     path = _out_path(args, f"{protocol}_n{n}_seed{args.seed}.json")
     serialize.write_json(path, record)
     print(_summary([("protocol", protocol), ("n", n), *summary]))
     print(f"record: {path}")
-    return EXIT_ABORT if run.transcript.aborted else EXIT_OK
+    return EXIT_ABORT if run.aborted else EXIT_OK
 
 
 def cmd_anon(args) -> int:
+    _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     if args.flippers is not None:
         for flag in ("sender", "d", "withhold", "disruptors"):
@@ -127,16 +158,16 @@ def cmd_anon(args) -> int:
         args.n, args.sender, args.d, rng,
         withholders=withholders, disruptors=_parse_ids(args.disruptors),
     )
-    aborted = run.transcript.aborted
     return _record_run(
-        args, "anon", args.n, run, {"decoded": run.output, "aborted": aborted},
+        args, "anon", args.n, run, {"decoded": run.output, "aborted": run.aborted},
         {"sender": args.sender, "d": args.d, "withhold": withholders},
         [("sender", args.sender), ("d", args.d), ("decoded", run.output),
-         ("aborted", aborted)],
+         ("aborted", run.aborted)],
     )
 
 
 def cmd_ae(args) -> int:
+    _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     run = protocols.ae_establish(
         args.n, args.sender, args.receiver, rng,
@@ -189,6 +220,7 @@ def _parse_qubit(alpha_text: str, beta_text: str) -> tuple[complex, complex]:
 
 
 def cmd_anonq(args) -> int:
+    _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     qubit = _parse_qubit(args.alpha, args.beta)
     run = protocols.anonq_send(args.n, args.sender, args.receiver, qubit, rng)
@@ -204,6 +236,7 @@ def cmd_anonq(args) -> int:
 
 
 def cmd_collision(args) -> int:
+    _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     wishers = _parse_ids(args.wishers)
     run = protocols.collision_detect(args.n, wishers, rng)
@@ -233,6 +266,8 @@ def cmd_dcnet(args) -> int:
 
 
 def cmd_keygraph(args) -> int:
+    from . import keygraph
+
     graph = _parse_graph(args.graph)
     degree_report = keygraph.min_degree(graph)
     tol = keygraph.tolerance(graph)
@@ -333,7 +368,7 @@ def _sweep_collision(args) -> tuple[list[str], list[list]]:
                     "".join(str(p) for p in verdict.parities),
                     match, "",
                 ])
-            except Exception as exc:  # cell failures stay in-row
+            except ValueError as exc:  # cell failures stay in-row
                 rows.append([n, k, "", "", "", "", "", "", str(exc)])
     return header, rows
 
@@ -352,15 +387,17 @@ def _sweep_anon(args) -> tuple[list[str], list[list]]:
                     stream = RngStream(
                         args.seed, derive_stream_id(args.seed, "anon", n, sender, d)
                     )
-                    decoded, _, _ = protocols.anon_send(n, sender, d, stream)
+                    decoded = protocols.anon_send(n, sender, d, stream).output
                     rows.append([n, sender, d, decoded, decoded == d, ""])
-                except Exception as exc:
+                except ValueError as exc:
                     rows.append([n, sender, d, "", "", str(exc)])
     return header, rows
 
 
 def _sweep_graphs(args) -> tuple[list[str], list[list]]:
     from itertools import combinations
+
+    from . import keygraph
 
     n = args.nodes
     if not 2 <= n <= 6:
@@ -383,12 +420,14 @@ def _sweep_graphs(args) -> tuple[list[str], list[list]]:
                 keygraph.tolerance(g),
                 "",
             ])
-        except Exception as exc:
+        except ValueError as exc:
             rows.append([mask, "", "", "", "", "", str(exc)])
     return header, rows
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
     sweeps = {"collision": _sweep_collision, "anon": _sweep_anon, "graphs": _sweep_graphs}
     # a bad seed is a configuration error, not a failure in every cell
     check_word(args.seed, "seed")

@@ -8,11 +8,12 @@ classical pairwise-key XOR network they are compared against
 exactly one willing sender, and the anonymous key exchange built from
 anonymous broadcasts.
 
-Every protocol returns a Run: its output value, a Transcript of what
-was broadcast and a RandomnessLedger of the random values each player
-drew.  Data items, role assignments and key-exchange slot choices are
-deliberately kept out of ledgers: they are the secrets whose leakage
-the analysis layer checks for.
+Every protocol returns a Run: its output value, the broadcast rounds
+as (player, bit) pairs, a ledger of the named bits each player drew,
+and whether the run aborted.  Data items, role assignments and
+key-exchange slot choices are deliberately kept out of ledgers: they
+are the secrets whose leakage the analysis layer checks for.  Turning
+a Run into a record is `serialize.run_record`'s job alone.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import enum
 import math
 from functools import lru_cache, reduce
 from operator import xor
-from typing import Any, Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .keygraph import KeySharingGraph, is_connected
 from .qsim import (
     GhzPhaseState,
     apply_phase_flip,
@@ -35,87 +35,8 @@ from .qsim import (
 )
 from .rng import RngStream
 
-
-class BroadcastEntry(NamedTuple):
-    """One broadcast message: who sent it and its bits as 0/1 text."""
-
-    player: int
-    bits: str
-
-
-class Transcript:
-    """Ordered broadcast rounds of one protocol run.
-
-    Each round is the list of BroadcastEntry values actually sent, in
-    player order.  `aborted` is set when some player failed to broadcast;
-    partial rounds are preserved.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.rounds: list[list[BroadcastEntry]] = []
-        self.aborted = False
-
-    def add_round(self, entries: Sequence[BroadcastEntry]) -> None:
-        self.rounds.append(list(entries))
-
-    def extend(self, other: "Transcript") -> None:
-        self.rounds.extend([list(r) for r in other.rounds])
-        self.aborted = self.aborted or other.aborted
-
-    def round_parity(self, index: int) -> int:
-        return sum(int(e.bits, 2) for e in self.rounds[index]) & 1
-
-    def to_json(self) -> dict:
-        return {
-            "rounds": [
-                [{"player": e.player, "bits": e.bits} for e in rnd]
-                for rnd in self.rounds
-            ],
-            "aborted": self.aborted,
-        }
-
-
-class RandomnessLedger:
-    """Append-only record of the random values each player drew.
-
-    Entries are (name, value) pairs; names label the draw for human
-    readers and are stripped when adversary views are built.  Data items
-    and roles are never recorded here.
-    """
-
-    def __init__(
-        self,
-        names: Optional[dict[int, list[str]]] = None,
-        values: Optional[dict[int, list[int]]] = None,
-    ) -> None:
-        """Start empty, or take over each player's draw names and int values."""
-        self._names = {} if names is None else names
-        self._values = {} if values is None else values
-
-    def record(self, player: int, name: str, value: int) -> None:
-        self._names.setdefault(player, []).append(name)
-        self._values.setdefault(player, []).append(int(value))
-
-    def entries(self, player: int) -> tuple[tuple[str, int], ...]:
-        return tuple(zip(self._names.get(player, ()), self._values.get(player, ())))
-
-    def players(self) -> tuple[int, ...]:
-        return tuple(sorted(self._values))
-
-    def values(self, player: int) -> tuple[int, ...]:
-        return tuple(self._values.get(player, ()))
-
-    def extend(self, other: "RandomnessLedger") -> None:
-        for player in other.players():
-            for name, value in other.entries(player):
-                self.record(player, name, value)
-
-    def to_json(self) -> dict:
-        return {
-            str(p): [{"name": name, "value": value} for name, value in self.entries(p)]
-            for p in self.players()
-        }
+if TYPE_CHECKING:
+    from .keygraph import KeySharingGraph
 
 
 class Run(NamedTuple):
@@ -123,12 +44,17 @@ class Run(NamedTuple):
 
     `output` is the protocol's result (decoded bit, parity, EPR pair,
     received qubit, collision verdict or key pair), None when the run
-    aborted.
+    aborted.  `rounds` holds each broadcast round's (player, bit) pairs
+    actually sent, in player order; partial rounds are kept.  `ledger`
+    maps each player to their (name, bit) draws in draw order; the names
+    label the draws for human readers.  `aborted` is set when some
+    player failed to broadcast.
     """
 
     output: Any
-    transcript: Transcript
-    ledger: RandomnessLedger
+    rounds: list[list[tuple[int, int]]]
+    ledger: dict[int, list[tuple[str, int]]]
+    aborted: bool
 
 
 def _validate_group(n: int, minimum: int = 3) -> None:
@@ -152,22 +78,34 @@ def _validate_players(n: int, label: str, players: Iterable[int]) -> set[int]:
 
 
 def _broadcast_draws(
-    n: int, names: Sequence[str], bits: Sequence[int], withheld: Collection[int]
-) -> tuple[Transcript, RandomnessLedger]:
+    output: Any, names: Sequence[str], bits: Sequence[int], withheld: Collection[int]
+) -> Run:
     """One broadcast round in which each player's one draw is their message.
 
     Player p records the draw bits[p] under names[p] and broadcasts it,
-    unless p withholds; any withholding marks the transcript aborted.
+    unless p withholds; any withholding aborts the run, whose output is
+    then None.
     """
-    transcript = Transcript(n)
-    sent = [BroadcastEntry(p, str(bit)) for p, bit in enumerate(bits)]
-    transcript.add_round([entry for entry in sent if entry.player not in withheld])
-    transcript.aborted = bool(withheld)
-    ledger = RandomnessLedger(
-        {p: [name] for p, name in enumerate(names)},
-        {p: [bit] for p, bit in enumerate(bits)},
+    return Run(
+        None if withheld else output,
+        [[(p, bit) for p, bit in enumerate(bits) if p not in withheld]],
+        {p: [draw] for p, draw in enumerate(zip(names, bits))},
+        bool(withheld),
     )
-    return transcript, ledger
+
+
+def _join(output: Any, runs: Iterable[Run]) -> Run:
+    """One run made of `runs` in turn: their rounds, and each player's
+    draws in order, aborted if any of them was."""
+    rounds: list[list[tuple[int, int]]] = []
+    ledger: dict[int, list[tuple[str, int]]] = {}
+    aborted = False
+    for run in runs:
+        rounds += run.rounds
+        for p, draws in run.ledger.items():
+            ledger.setdefault(p, []).extend(draws)
+        aborted = aborted or run.aborted
+    return Run(output, rounds, ledger, aborted)
 
 
 def _broadcast_round(
@@ -179,17 +117,9 @@ def _broadcast_round(
     the outcome bit.  The output is the parity of the round, or None if
     anyone withheld.
     """
-    n = state.num_qubits
     outcomes = hadamard_measure_all(state, rng)
-    transcript, ledger = _broadcast_draws(n, ["measurement"] * n, outcomes, withheld)
-    return Run(None if withheld else transcript.round_parity(0), transcript, ledger)
-
-
-def _append(transcript: Transcript, ledger: RandomnessLedger, run: Run) -> Any:
-    """Append `run`'s rounds and draws to a longer run's; return its output."""
-    transcript.extend(run.transcript)
-    ledger.extend(run.ledger)
-    return run.output
+    names = ["measurement"] * state.num_qubits
+    return _broadcast_draws(sum(outcomes) & 1, names, outcomes, withheld)
 
 
 def anon_send(
@@ -277,8 +207,7 @@ def ae_establish(
     draws[sender] = ("coin", b)
     draws[receiver] = ("decoy", b_prime)
     names, bits = zip(*(draws[p] for p in range(n)))
-    transcript, ledger = _broadcast_draws(n, names, bits, withheld)
-    return Run(None if withheld else pair, transcript, ledger)
+    return _broadcast_draws(pair, names, bits, withheld)
 
 
 def _check_qubit(qubit: Sequence[complex]) -> tuple[complex, complex]:
@@ -316,10 +245,9 @@ def anonq_send(
     bits m0, m1, and the received amplitudes are the sent ones.
     """
     sent = _check_qubit(qubit)
-    _, transcript, ledger = ae_establish(n, sender, receiver, rng)
-    for bit in rng.bits(2):
-        _append(transcript, ledger, anon_send(n, sender, bit, rng))
-    return Run(sent, transcript, ledger)
+    runs = [ae_establish(n, sender, receiver, rng)]
+    runs += [anon_send(n, sender, bit, rng) for bit in rng.bits(2)]
+    return _join(sent, runs)
 
 
 def xor_pass(
@@ -347,6 +275,8 @@ def _xor_network(
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[str, ...], ...]]:
     """Sorted edges of a connected key-sharing graph, and each player's
     incident key names (`key:i-j`) in that order."""
+    from .keygraph import is_connected
+
     if not is_connected(graph):
         raise ValueError("key-sharing graph must be connected")
     edges = tuple(sorted(graph.edges))
@@ -374,12 +304,8 @@ def dcnet_send(graph: KeySharingGraph, sender: int, d: int, rng: RngStream) -> R
     _validate_bit(d)
     announced, incident = xor_pass(n, edges, [rng.bit() for _ in edges])
     announced[sender] ^= d
-    transcript = Transcript(n)
-    transcript.add_round([BroadcastEntry(p, str(bit)) for p, bit in enumerate(announced)])
-    ledger = RandomnessLedger(
-        dict(enumerate(map(list, names))), dict(enumerate(incident))
-    )
-    return Run(sum(announced) & 1, transcript, ledger)
+    ledger = {p: list(zip(names[p], incident[p])) for p in range(n)}
+    return Run(sum(announced) & 1, [list(enumerate(announced))], ledger, False)
 
 
 def trace_attack(run: Run, d: int) -> Optional[int]:
@@ -387,16 +313,16 @@ def trace_attack(run: Run, d: int) -> Optional[int]:
 
     Each player's ledger holds their incident key bits, so their
     announcement as a non-sender is the XOR of their ledger values, and
-    as the sender that XOR plus d.  A player whose announcement in the
-    transcript matches only the sender replay is identified.  For d = 0
+    as the sender that XOR plus d.  A player whose broadcast announcement
+    matches only the sender replay is identified.  For d = 0
     the two replays coincide and nobody is distinguishable.  Returns the
     identified player or None.
     """
     _validate_bit(d)
     # the sender replay, non-sender ^ d, differs from it only for d = 1
     matches = [
-        e.player for e in run.transcript.rounds[0]
-        if d and int(e.bits) != reduce(xor, run.ledger.values(e.player), 0)
+        p for p, bit in run.rounds[0]
+        if d and bit != reduce(xor, (key for _, key in run.ledger[p]), 0)
     ]
     return matches[0] if len(matches) == 1 else None
 
@@ -471,28 +397,28 @@ def collision_detect(n: int, wishers: Iterable[int], rng: RngStream) -> Run:
     round j; with k = 1 every round is even; with k = 0 round 0 sees
     phase -pi and is odd.  The run ends at the first odd round.
 
-    The output is a CollisionVerdict; the transcript holds every
+    The output is a CollisionVerdict; the run's rounds are every
     executed round.
     """
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
     wish_set = sorted(_validate_players(n, "wisher", wishers))
 
-    transcript, ledger = Transcript(n), RandomnessLedger()
-    parities = []
+    runs = []
     for j, state in enumerate(prepare_rotated_states(n)):
         for w in wish_set:
             state = apply_rz(state, w, 1, j)
-        parities.append(_append(transcript, ledger, _broadcast_round(state, rng)))
-        if parities[-1]:
+        runs.append(_broadcast_round(state, rng))
+        if runs[-1].output:
             break
+    parities = tuple(run.output for run in runs)
     first_odd = len(parities) - 1 if parities[-1] else None
     verdict = (
         CollisionOutcome.EXACTLY_ONE
         if first_odd is None
         else CollisionOutcome.NOT_EXACTLY_ONE
     )
-    return Run(CollisionVerdict(tuple(parities), verdict, first_odd), transcript, ledger)
+    return _join(CollisionVerdict(parities, verdict, first_odd), runs)
 
 
 def anonymous_key_exchange(
@@ -514,11 +440,11 @@ def anonymous_key_exchange(
     slots: the index is kept and its key bit is node_i's slot, which
     node_j knows as the slot it did not pick.  Parities (0, 0) mean they
     picked the same slot, and the index is discarded.  Either way the
-    transcript shows only whether the index was kept, never the key bit.
+    broadcasts show only whether the index was kept, never the key bit.
     Expect about half the indices to survive.
 
-    The output is the pair (key_i, key_j); the transcript and ledger
-    hold every slot's broadcasts and measured bits.  The slot choices
+    The output is the pair (key_i, key_j); the rounds and ledger hold
+    every slot's broadcasts and measured bits.  The slot choices
     are the key, so they stay out of the ledger.
 
     `bits_i`/`bits_j` override the slot choices, for tests.
@@ -534,18 +460,16 @@ def anonymous_key_exchange(
     if bits_j is not None and len(bits_j) != key_len:
         raise ValueError("bits_j must have length key_len")
 
-    transcript, ledger = Transcript(n), RandomnessLedger()
+    runs: list[Run] = []
     key_i: list[int] = []
     key_j: list[int] = []
     for idx in range(key_len):
         slot_i = _validate_bit(bits_i[idx]) if bits_i is not None else rng.bit()
         slot_j = _validate_bit(bits_j[idx]) if bits_j is not None else rng.bit()
-        parities = []
         for slot in (0, 1):
             flippers = [p for p, s in ((node_i, slot_i), (node_j, slot_j)) if s == slot]
-            run = anon_multiparty_parity(n, flippers, rng)
-            parities.append(_append(transcript, ledger, run))
-        if parities == [1, 1]:
+            runs.append(anon_multiparty_parity(n, flippers, rng))
+        if runs[-2].output == runs[-1].output == 1:
             key_i.append(slot_i)
             key_j.append(1 - slot_j)
-    return Run((key_i, key_j), transcript, ledger)
+    return _join((key_i, key_j), runs)

@@ -1,7 +1,8 @@
 """Stable on-disk formats for run records and reports.
 
-All writers are atomic (temp file then rename) and deterministic: the
-same record object always serializes to the same bytes, so identical
+`run_record` is the one place a protocol Run becomes record JSON.  All
+writers are atomic (temp file then rename) and deterministic: the same
+record object always serializes to the same bytes, so identical
 configuration and seed reproduce identical files.
 """
 
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+from typing import TYPE_CHECKING
 
-from .protocols import RandomnessLedger, Transcript
+if TYPE_CHECKING:
+    from .protocols import Run
 
 
 def run_record(
@@ -18,14 +21,15 @@ def run_record(
     n: int,
     seed: int,
     stream_id: int,
-    transcript: Transcript,
-    ledger: RandomnessLedger,
+    run: Run,
     verdicts: dict,
     config: dict | None = None,
 ) -> dict:
     """Assemble the canonical JSON structure for one protocol run.
 
-    `format` is 3; it grows when seeded record bytes change meaning.
+    Each broadcast bit is written as 0/1 text and each draw with its
+    name.  `format` is 3; it grows when seeded record bytes change
+    meaning.
     """
     record = {
         "format": 3,
@@ -33,9 +37,14 @@ def run_record(
         "n": n,
         "seed": seed,
         "stream_id": stream_id,
-        "rounds": transcript.to_json()["rounds"],
-        "aborted": transcript.aborted,
-        "ledger": ledger.to_json(),
+        "rounds": [
+            [{"player": p, "bits": str(bit)} for p, bit in rnd] for rnd in run.rounds
+        ],
+        "aborted": run.aborted,
+        "ledger": {
+            str(p): [{"name": name, "value": bit} for name, bit in draws]
+            for p, draws in run.ledger.items()
+        },
         "verdicts": verdicts,
     }
     if config is not None:

@@ -87,9 +87,9 @@ def test_01_anon_broadcast_correctness():
                 for d in (0, 1):
                     rng = _stream("anon", n, sender, d)
                     for _ in range(1000):
-                        decoded, transcript, _ = anon_send(n, sender, d, rng)
-                        assert not transcript.aborted
-                        assert decoded == d
+                        run = anon_send(n, sender, d, rng)
+                        assert not run.aborted
+                        assert run.output == d
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -101,7 +101,7 @@ def test_02_parity_semantics():
             for flippers in itertools.combinations(range(n), r):
                 rng = _stream("parity", flippers)
                 for _ in range(25):
-                    parity, _, _ = anon_multiparty_parity(n, flippers, rng)
+                    parity = anon_multiparty_parity(n, flippers, rng).output
                     assert parity == r % 2
 
 
@@ -114,8 +114,9 @@ def test_03_entanglement_protocol_correctness():
             runs_per_pair = -(-1000 // len(pairs))  # at least 1000 total
             for sender, receiver in pairs:
                 for _ in range(runs_per_pair):
-                    pair, transcript, _ = ae_establish(n, sender, receiver, rng)
-                    assert not transcript.aborted
+                    run = ae_establish(n, sender, receiver, rng)
+                    assert not run.aborted
+                    pair = run.output
                     assert pair.phase_numerator == 0
                     assert fidelity(to_dense(pair), epr) >= 1.0 - 1e-12
 
@@ -131,13 +132,12 @@ def test_04_qubit_transfer_fidelity():
                 raw /= np.linalg.norm(raw)
                 sender = int(gen.integers(0, n))
                 receiver = int((sender + 1 + gen.integers(0, n - 1)) % n)
-                received, transcript, _ = anonq_send(
-                    n, sender, receiver, tuple(raw), rng
-                )
+                run = anonq_send(n, sender, receiver, tuple(raw), rng)
+                received = run.output
                 assert received is not None
                 assert abs(np.vdot(raw, received)) ** 2 >= 1.0 - 1e-12
                 branches.add(
-                    (transcript.round_parity(1), transcript.round_parity(2))
+                    tuple(sum(bit for _, bit in rnd) & 1 for rnd in run.rounds[1:])
                 )
             assert branches == {(0, 0), (0, 1), (1, 0), (1, 1)}
 

@@ -57,17 +57,22 @@ def _keyed_runs(graph: KeySharingGraph, sender: int, d: int):
 
 
 def _announcements(run) -> list[int]:
-    return [int(e.bits) for e in run.transcript.rounds[0]]
+    return [bit for _, bit in run.rounds[0]]
+
+
+def _drawn_bits(run) -> Callable[[int], tuple[int, ...]]:
+    """Player p -> the bits p drew in `run`, without their names."""
+    return lambda p: tuple(bit for _, bit in run.ledger.get(p, ()))
 
 
 def _redact(
-    rounds: Iterable[Iterable[tuple[int, str]]],
+    rounds: Iterable[Iterable[tuple[int, int]]],
     draws: Callable[[int], Iterable[int]],
     watchers: Sequence[int],
 ) -> tuple:
     """Oracle: the adversary's full view, (messages, randomness) of one run.
 
-    `rounds` holds the broadcast rounds as (player, bits) pairs and
+    `rounds` holds the broadcast rounds as (player, bit) pairs and
     `draws(p)` the values player p drew.  Every message is kept; draws
     are kept for the watched players only, without their names.
     """
@@ -85,7 +90,7 @@ def _broadcast_outcomes(
     In these protocols a player's recorded draw in a round is the bit
     they broadcast, so a player's draws are their column of the rounds.
     """
-    table = [((p, "0"), (p, "1")) for p in range(n)]
+    table = [((p, 0), (p, 1)) for p in range(n)]
     rounds = [
         [
             (tuple(table[p][b] for p, b in enumerate(bits)), bits, prob)
@@ -122,7 +127,7 @@ def _dcnet_outcomes(r: Roles):
     round, as (broadcast rounds, each player's draws, probability)."""
     n = r.n
     edges = sorted(r.graph.edges)
-    table = [((p, "0"), (p, "1")) for p in range(n)]
+    table = [((p, 0), (p, 1)) for p in range(n)]
     prob = Fraction(1, 1 << len(edges))
     for key_bits in itertools.product((0, 1), repeat=len(edges)):
         announced, incident = xor_pass(n, edges, key_bits)
@@ -182,13 +187,14 @@ def test_dcnet_cycle_graph_also_decodes():
 def test_dcnet_record_ledger_holds_incident_keys():
     graph = KeySharingGraph.complete(3)
     # keys (0,1)=1, (0,2)=0, (1,2)=1 in sorted-edge order
-    decoded, transcript, ledger = dcnet_send(graph, 0, 1, _KeyBits((1, 0, 1)))
-    assert decoded == 1
-    assert [e.player for e in transcript.rounds[0]] == [0, 1, 2]
-    assert ledger.values(0) == (1, 0)  # keys (0,1) then (0,2)
-    assert ledger.values(1) == (1, 1)
-    assert ledger.values(2) == (0, 1)
-    names = [name for name, _ in ledger.entries(0)]
+    run = dcnet_send(graph, 0, 1, _KeyBits((1, 0, 1)))
+    assert run.output == 1
+    assert [p for p, _ in run.rounds[0]] == [0, 1, 2]
+    draws = _drawn_bits(run)
+    assert draws(0) == (1, 0)  # keys (0,1) then (0,2)
+    assert draws(1) == (1, 1)
+    assert draws(2) == (0, 1)
+    names = [name for name, _ in run.ledger[0]]
     assert names == ["key:0-1", "key:0-2"]
 
 
@@ -397,23 +403,23 @@ def test_adversary_view_redacts_names_and_roles():
         ("dcnet", KeySharingGraph.complete(5)),
     ):
         roles = Roles(5, 2, 3, 1, graph)
-        _, transcript, ledger = PROTOCOLS[protocol].run(roles, RngStream(19))
-        view = _redact(transcript.rounds, ledger.values, (0, 4))
+        run = PROTOCOLS[protocol].run(roles, RngStream(19))
+        view = _redact(run.rounds, _drawn_bits(run), (0, 4))
         text = json.dumps(view)
         for word in ("role", "coin", "decoy", "measurement", "key", "data", "sender"):
             assert word not in text, protocol
         messages, randomness = view
         assert [p for p, _ in randomness] == [0, 4]
-        assert len(messages) == len(transcript.rounds)
+        assert len(messages) == len(run.rounds)
 
 
 def test_adversary_view_hijack_watches_everyone():
     rng = RngStream(19)
-    _, transcript, ledger = anon_send(4, 1, 0, rng)
-    messages, randomness = _redact(transcript.rounds, ledger.values, range(4))
+    run = anon_send(4, 1, 0, rng)
+    messages, randomness = _redact(run.rounds, _drawn_bits(run), range(4))
     assert [p for p, _ in randomness] == [0, 1, 2, 3]
     # the watched values are exactly the broadcast bits for this protocol
-    bits = {p: int(b) for p, b in messages[0]}
+    bits = dict(messages[0])
     for p, values in randomness:
         assert values == (bits[p],)
 
@@ -426,13 +432,12 @@ def test_ghz_draws_are_the_broadcast_bits(protocol):
     for n, seed in itertools.product((3, 4, 6), range(3)):
         for sender, receiver in itertools.permutations(range(n), 2):
             roles = Roles(n, sender, receiver, seed % 2, None)
-            _, transcript, ledger = spec.run(roles, RngStream(seed))
-            assert set(ledger.players()) <= set(range(n))
+            run = spec.run(roles, RngStream(seed))
+            assert set(run.ledger) <= set(range(n))
+            draws = _drawn_bits(run)
             for p in range(n):
-                column = tuple(
-                    int(e.bits) for rnd in transcript.rounds for e in rnd if e.player == p
-                )
-                assert ledger.values(p) == column, (n, seed, sender, receiver, p)
+                column = tuple(bit for rnd in run.rounds for q, bit in rnd if q == p)
+                assert draws(p) == column, (n, seed, sender, receiver, p)
 
 
 def _ghz_enumeration_cases():
@@ -653,7 +658,7 @@ def _flat(protocol: str, view: tuple) -> tuple[int, ...]:
     messages, randomness = view
     if protocol != "dcnet":
         randomness = ()
-    return tuple(int(bits) for rnd in messages for _, bits in rnd) + tuple(
+    return tuple(bit for rnd in messages for _, bit in rnd) + tuple(
         value for _, values in randomness for value in values
     )
 
@@ -675,8 +680,8 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     assert sum(exact.values()) == 1
     rng = RngStream(5)
     for _ in range(40):
-        _, transcript, ledger = spec.run(roles, rng)
-        assert _redact(transcript.rounds, ledger.values, everyone) in exact
+        run = spec.run(roles, rng)
+        assert _redact(run.rounds, _drawn_bits(run), everyone) in exact
     exact_rows = {_flat(protocol, view) for view in exact}
     rows = SAMPLERS[protocol](roles, everyone, 200, rng)
     assert rows.dtype == np.uint8
@@ -691,8 +696,8 @@ def _per_trial_views(spec, cast, watchers, trials, rng) -> dict[int, list]:
     for cand, roles in cast.items():
         views[cand] = []
         for _ in range(trials):
-            _, transcript, ledger = spec.run(roles, rng)
-            views[cand].append(_redact(transcript.rounds, ledger.values, watchers))
+            run = spec.run(roles, rng)
+            views[cand].append(_redact(run.rounds, _drawn_bits(run), watchers))
     return views
 
 

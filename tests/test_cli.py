@@ -13,13 +13,15 @@ import jsonschema
 import pytest
 
 import anonsim
-from anonsim import serialize
-from anonsim.anonymity import PROTOCOLS
+from anonsim import keygraph, protocols, serialize
+from anonsim.anonymity import MAX_SAMPLED_BYTES, PROTOCOLS
 from anonsim.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERDICT,
+    MAX_KEYS,
+    MAX_PLAYERS,
     VERDICT_PROTOCOLS,
     main,
 )
@@ -508,6 +510,58 @@ def test_huge_exact_verdict_is_refused_before_any_work_on_n(tmp_path, protocol, 
     assert not out.exists()
 
 
+_PLAYERS_PAST = f"error: --n 100000000: at most {MAX_PLAYERS} players are supported\n"
+
+# argv -> the one line on stderr
+_OVERSIZED = {
+    "anon --n 100000000 --sender 0 --d 1 --seed 1": _PLAYERS_PAST,
+    "anon --n 100000000 --flippers 0 --seed 1": _PLAYERS_PAST,
+    "ae --n 100000000 --sender 0 --receiver 1 --seed 1": _PLAYERS_PAST,
+    "anonq --n 100000000 --sender 0 --receiver 1 --seed 1": _PLAYERS_PAST,
+    "collision --n 100000000 --seed 1": _PLAYERS_PAST,
+    "dcnet --graph path:1000000000 --sender 0 --d 1 --seed 1":
+        f"error: --graph path:1000000000 has 999999999 keys; at most {MAX_KEYS} "
+        "are supported\n",
+    "keygraph --graph cycle:1000000000":
+        f"error: --graph cycle:1000000000 has 1000000000 keys; at most {MAX_KEYS} "
+        "are supported\n",
+    "verdict --protocol dcnet --n 100000 --graph complete:100000":
+        f"error: --graph complete:100000 has 4999950000 keys; at most {MAX_KEYS} "
+        "are supported\n",
+    # 10^9 candidates x 10 trials x (10^9 view bits + 64), plus the count
+    # matrix: 10^9 x 10^10 cells of 8 bytes
+    "verdict --protocol anon --n 1000000000 --mode sampled --trials 10 --seed 1":
+        f"error: sampled mode lays out at most {MAX_SAMPLED_BYTES} bytes of views and "
+        "counts, and this verdict needs 90000000640000000000; use fewer trials\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVERSIZED))
+def test_oversized_input_is_refused_before_it_is_built(tmp_path, argv):
+    # in a child whose address space is capped at 1 GiB: each of these
+    # ended in a MemoryError there before its size was checked
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
+    out = tmp_path / "out.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _ADDRESS_SPACE_CHILD, *argv.split(), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+    )
+    assert run.returncode == EXIT_CONFIG, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == _OVERSIZED[argv]
+    assert not out.exists()
+
+
+def test_run_commands_take_the_largest_group(tmp_path, capsys):
+    out = tmp_path / "anon.json"
+    code, _, _ = _run(
+        capsys, "anon", "--n", str(MAX_PLAYERS), "--sender", "0", "--d", "1",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert len(_load(out)["rounds"][0]) == MAX_PLAYERS
+
+
 def test_verdict_two_players_is_config_error(tmp_path, capsys):
     out = tmp_path / "v.json"
     code, stdout, stderr = _run(
@@ -814,6 +868,42 @@ def test_sweep_spans_at_the_minimum_group_run(tmp_path, capsys):
         code, stdout, _ = _run(capsys, "sweep", family, "--n", span, "--out", str(out))
         assert code == EXIT_OK
         assert "failures=0" in stdout
+
+
+@pytest.mark.parametrize(
+    "family, flags, module, name",
+    [
+        ("collision", ["--n", "2:4"], protocols, "collision_detect"),
+        ("anon", ["--n", "3:4"], protocols, "anon_send"),
+        ("graphs", ["--nodes", "3"], keygraph, "tolerance"),
+    ],
+)
+def test_sweep_cells_keep_value_errors_only(tmp_path, capsys, monkeypatch,
+                                            family, flags, module, name):
+    # a ValueError is a failed cell and stays in its row; any other
+    # exception is a fault in the program and ends the sweep
+    real = getattr(module, name)
+    for error in (ValueError, TypeError):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("broken cell")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, broken)
+        out = tmp_path / f"{error.__name__}.csv"
+        argv = ["sweep", family, *flags, "--out", str(out)]
+        if error is ValueError:
+            code, stdout, _ = _run(capsys, *argv)
+            assert code == EXIT_OK
+            assert "failures=1" in stdout
+            assert out.read_text(encoding="utf-8").count("broken cell") == 1
+        else:
+            with pytest.raises(TypeError, match="broken cell"):
+                main(argv)
+            assert not out.exists()
 
 
 def test_sweep_reproducible_bytes(tmp_path, capsys):

@@ -114,13 +114,33 @@ NUMPY_CASES = {name for name in CASES if name.startswith("sampled_")}
 # the XOR network's trace included, loads either.
 DATACLASS_CASES = {name for name in CASES if name.startswith(("exact_", "sampled_"))}
 
+# The cases that parse a graph, the only ones that load `anonsim.keygraph`,
+# and the sweeps, the only ones that load `csv`.  A run or verdict of a
+# GHZ protocol loads neither.
+GRAPH_CASES = {name for name in CASES if "--graph" in CASES[name] or name == "sweep_graphs"}
+CSV_CASES = {name for name in CASES if name.startswith("sweep_")}
+
+
+def _loads(name: str) -> tuple[str, ...]:
+    """The watched modules that case `name` loads."""
+    loads = set()
+    if name in DATACLASS_CASES:
+        loads |= {"dataclasses", "inspect"}
+    if name in GRAPH_CASES:
+        loads.add("anonsim.keygraph")
+    if name in CSV_CASES:
+        loads.add("csv")
+    return tuple(sorted(loads))
+
+
 # Runs the cases named in argv[1] (name -> argv), in that order, with numpy
 # unimportable and prints, for each, '<exit code> <summary line>' or
-# "needs numpy", and which of `dataclasses` and `inspect` are loaded after it.
+# "needs numpy", and which of the watched modules are loaded after it.
 _BLOCKED_CHILD = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 from anonsim.cli import main
+watched = {"anonsim.keygraph", "csv", "dataclasses", "inspect"}
 results = {}
 for name, argv in json.loads(sys.argv[1]).items():
     stdout = io.StringIO()
@@ -130,7 +150,7 @@ for name, argv in json.loads(sys.argv[1]).items():
         outcome = f"{code} {stdout.getvalue().splitlines()[0]}"
     except ImportError:
         outcome = "needs numpy"
-    results[name] = [outcome, sorted({"dataclasses", "inspect"} & set(sys.modules))]
+    results[name] = [outcome, sorted(watched & set(sys.modules))]
 from anonsim import *
 print(json.dumps(results))
 """
@@ -138,24 +158,25 @@ print(json.dumps(results))
 
 def test_phase_manifold_cases_run_without_numpy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
-    # The cases that load dataclasses run last, so each case before them
-    # is seen to load neither module itself.
-    order = sorted(CASES, key=lambda name: (name in DATACLASS_CASES, name))
-    argv = {
-        name: [*CASES[name].split(), "--out", str(tmp_path / f"{name}{_suffix(name)}")]
-        for name in order
-    }
-    run = subprocess.run(
-        [sys.executable, "-c", _BLOCKED_CHILD, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    results = json.loads(run.stdout)
+    # One child per set of watched modules, so that each case is seen to
+    # load none of the watched modules outside its own set.
+    groups: dict[tuple[str, ...], dict[str, list[str]]] = {}
+    for name in sorted(CASES):
+        out = str(tmp_path / f"{name}{_suffix(name)}")
+        groups.setdefault(_loads(name), {})[name] = [*CASES[name].split(), "--out", out]
+    results = {}
+    for argv in groups.values():
+        run = subprocess.run(
+            [sys.executable, "-c", _BLOCKED_CHILD, json.dumps(argv)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        results.update(json.loads(run.stdout))
+    assert results.keys() == CASES.keys()
     summaries = _summaries()
-    for name in order:
+    for name in sorted(CASES):
         outcome, loaded = results[name]
-        if name not in DATACLASS_CASES:
-            assert loaded == [], name
+        assert loaded == list(_loads(name)), name
         if name in NUMPY_CASES:
             assert outcome == "needs numpy"
             continue

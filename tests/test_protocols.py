@@ -37,12 +37,27 @@ from dense_oracle import (
 )
 
 
-def _columns(transcript, n):
+def _columns(run, n):
     """Each player's broadcast bits over the rounds, in round order."""
     return [
-        tuple(int(e.bits) for rnd in transcript.rounds for e in rnd if e.player == p)
+        tuple(bit for rnd in run.rounds for q, bit in rnd if q == p)
         for p in range(n)
     ]
+
+
+def _parity(rnd):
+    """The parity of one broadcast round's bits."""
+    return sum(bit for _, bit in rnd) & 1
+
+
+def _values(run, p):
+    """Player p's drawn bits, in draw order."""
+    return tuple(bit for _, bit in run.ledger[p])
+
+
+def _names(run, p):
+    """The names of player p's draws, in draw order."""
+    return [name for name, _ in run.ledger[p]]
 
 
 # ------------------------------------------------------------- player setup
@@ -70,18 +85,17 @@ def test_anon_decodes_exhaustively():
     for n in range(3, 7):
         for sender in range(n):
             for d in (0, 1):
-                decoded, transcript, ledger = anon_send(n, sender, d, rng)
-                assert decoded == d
-                assert transcript.round_parity(0) == d
-                assert not transcript.aborted
-                assert len(transcript.rounds[0]) == n
-                assert ledger.players() == tuple(range(n))
+                run = anon_send(n, sender, d, rng)
+                assert run.output == d
+                assert _parity(run.rounds[0]) == d
+                assert not run.aborted
+                assert len(run.rounds[0]) == n
+                assert sorted(run.ledger) == list(range(n))
 
 
 def test_anon_round_entries_sorted_by_player():
     rng = RngStream(2)
-    _, transcript, _ = anon_send(5, 2, 1, rng)
-    players = [e.player for e in transcript.rounds[0]]
+    players = [p for p, _ in anon_send(5, 2, 1, rng).rounds[0]]
     assert players == sorted(players)
 
 
@@ -89,19 +103,19 @@ def test_anon_disruptors_toggle_parity():
     rng = RngStream(13)
     for num_disruptors in range(4):
         disruptors = tuple(range(num_disruptors))
-        decoded, _, _ = anon_send(6, 5, 1, rng, disruptors=disruptors)
+        decoded = anon_send(6, 5, 1, rng, disruptors=disruptors).output
         assert decoded == 1 ^ (num_disruptors % 2)
 
 
 def test_anon_withholding_aborts():
     rng = RngStream(17)
-    decoded, transcript, ledger = anon_send(5, 0, 1, rng, withholders=(3,))
-    assert decoded is None
-    assert transcript.aborted
-    assert len(transcript.rounds[0]) == 4
-    assert 3 not in {e.player for e in transcript.rounds[0]}
+    run = anon_send(5, 0, 1, rng, withholders=(3,))
+    assert run.output is None
+    assert run.aborted
+    assert len(run.rounds[0]) == 4
+    assert 3 not in {p for p, _ in run.rounds[0]}
     # the measurement still happened locally
-    assert 3 in ledger.players()
+    assert 3 in run.ledger
 
 
 def test_anon_broadcast_uniform_within_parity_class():
@@ -111,9 +125,9 @@ def test_anon_broadcast_uniform_within_parity_class():
     trials = 100_000
     counts = {}
     for _ in range(trials):
-        decoded, transcript, _ = anon_send(n, 1, 1, rng)
-        assert decoded == 1
-        bits = tuple(int(e.bits) for e in transcript.rounds[0])
+        run = anon_send(n, 1, 1, rng)
+        assert run.output == 1
+        bits = tuple(bit for _, bit in run.rounds[0])
         counts[bits] = counts.get(bits, 0) + 1
     assert len(counts) == 1 << (n - 1)
     expected = trials / (1 << (n - 1))
@@ -127,9 +141,9 @@ def test_anon_multiparty_parity_exhaustive():
     n = 5
     for r in range(n + 1):
         for flippers in itertools.combinations(range(n), r):
-            parity, transcript, _ = anon_multiparty_parity(n, flippers, rng)
-            assert parity == r % 2
-            assert transcript.round_parity(0) == r % 2
+            run = anon_multiparty_parity(n, flippers, rng)
+            assert run.output == r % 2
+            assert _parity(run.rounds[0]) == r % 2
 
 
 def test_broadcast_rounds_draw_only_their_free_bits():
@@ -137,8 +151,8 @@ def test_broadcast_rounds_draw_only_their_free_bits():
     # uniform, since the phase fixes the parity
     for seed, n in itertools.product(range(4), (3, 5, 8)):
         rng, fresh = RngStream(seed, n), RngStream(seed, n)
-        rounds = len(anon_send(n, 1, seed % 2, rng).transcript.rounds)
-        rounds += len(anon_multiparty_parity(n, (0, 2), rng).transcript.rounds)
+        rounds = len(anon_send(n, 1, seed % 2, rng).rounds)
+        rounds += len(anon_multiparty_parity(n, (0, 2), rng).rounds)
         for k in range(n + 1):
             rounds += collision_detect(n, range(k), rng).output.rounds_used
         for _ in range(rounds):
@@ -165,15 +179,14 @@ def test_ae_every_pair_lands_on_phase_zero():
     rng = RngStream(31)
     for n in range(3, 7):
         for sender, receiver in itertools.permutations(range(n), 2):
-            pair, transcript, ledger = ae_establish(n, sender, receiver, rng)
+            run = ae_establish(n, sender, receiver, rng)
+            pair = run.output
             assert pair is not None
             assert pair.num_qubits == 2
             assert pair.phase_numerator == 0
-            assert len(transcript.rounds) == 1
-            assert len(transcript.rounds[0]) == n
-            names = {
-                p: [name for name, _ in ledger.entries(p)] for p in range(n)
-            }
+            assert len(run.rounds) == 1
+            assert len(run.rounds[0]) == n
+            names = {p: _names(run, p) for p in range(n)}
             assert names[sender] == ["coin"]
             assert names[receiver] == ["decoy"]
             for p in range(n):
@@ -187,9 +200,10 @@ def test_ae_residual_matches_dense_replay():
     n = 5
     for _ in range(50):
         sender, receiver = 1, 4
-        pair, transcript, ledger = ae_establish(n, sender, receiver, rng)
-        entries = {e.player: int(e.bits) for e in transcript.rounds[0]}
-        coin = ledger.entries(sender)[0][1]
+        run = ae_establish(n, sender, receiver, rng)
+        pair = run.output
+        entries = dict(run.rounds[0])
+        coin = run.ledger[sender][0][1]
         assert entries[sender] == coin
 
         state = ghz_dense(n)
@@ -219,19 +233,19 @@ def test_ae_decoy_takes_both_values_without_affecting_the_pair():
     decoys = set()
     for seed in range(40):
         rng = RngStream(seed)
-        pair, _, ledger = ae_establish(4, 0, 3, rng)
-        decoys.add(ledger.entries(3)[0][1])
-        pairs.add(pair)
+        run = ae_establish(4, 0, 3, rng)
+        decoys.add(run.ledger[3][0][1])
+        pairs.add(run.output)
     assert decoys == {0, 1}
     assert len(pairs) == 1
 
 
 def test_ae_withholding_aborts():
     rng = RngStream(41)
-    pair, transcript, _ = ae_establish(5, 0, 1, rng, withholders=(2,))
-    assert pair is None
-    assert transcript.aborted
-    assert len(transcript.rounds[0]) == 4
+    run = ae_establish(5, 0, 1, rng, withholders=(2,))
+    assert run.output is None
+    assert run.aborted
+    assert len(run.rounds[0]) == 4
 
 
 def test_ae_rejects_bad_arguments():
@@ -252,9 +266,10 @@ def test_anonq_delivers_arbitrary_qubit():
         for _ in range(20):
             raw = gen.normal(size=2) + 1j * gen.normal(size=2)
             raw /= np.linalg.norm(raw)
-            received, transcript, _ = anonq_send(n, 0, n - 1, tuple(raw), rng)
+            run = anonq_send(n, 0, n - 1, tuple(raw), rng)
+            received = run.output
             assert received is not None
-            assert not transcript.aborted
+            assert not run.aborted
             assert abs(np.vdot(raw, received)) ** 2 == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -262,10 +277,10 @@ def test_anonq_delivers_arbitrary_qubit():
 
 def test_anonq_transcript_has_three_rounds():
     rng = RngStream(47)
-    _, transcript, _ = anonq_send(4, 1, 3, (1.0, 0.0), rng)
-    assert len(transcript.rounds) == 3
-    assert all(len(r) == 4 for r in transcript.rounds)
-    assert not transcript.aborted
+    run = anonq_send(4, 1, 3, (1.0, 0.0), rng)
+    assert len(run.rounds) == 3
+    assert all(len(r) == 4 for r in run.rounds)
+    assert not run.aborted
 
 
 def test_anonq_every_player_logs_three_values():
@@ -276,19 +291,19 @@ def test_anonq_every_player_logs_three_values():
             for receiver in range(n):
                 if receiver == sender:
                     continue
-                _, _, ledger = anonq_send(n, sender, receiver, (0.6, 0.8j), rng)
-                assert {len(ledger.entries(p)) for p in range(n)} == {3}
+                run = anonq_send(n, sender, receiver, (0.6, 0.8j), rng)
+                assert {len(run.ledger[p]) for p in range(n)} == {3}
 
 
 def test_anonq_all_four_correction_branches_occur():
     rng = RngStream(61)
     seen = set()
     for _ in range(80):
-        received, transcript, _ = anonq_send(3, 0, 2, (0.6, 0.8), rng)
-        m0 = transcript.round_parity(1)
-        m1 = transcript.round_parity(2)
+        run = anonq_send(3, 0, 2, (0.6, 0.8), rng)
+        m0 = _parity(run.rounds[1])
+        m1 = _parity(run.rounds[2])
         seen.add((m0, m1))
-        assert abs(np.vdot([0.6, 0.8], received)) ** 2 == pytest.approx(
+        assert abs(np.vdot([0.6, 0.8], run.output)) ** 2 == pytest.approx(
             1.0, abs=1e-12
         )
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -326,24 +341,27 @@ def _dense_anonq_send(n, sender, receiver, qubit, rng):
     its outcome (m0, m1), then Z^m0 and X^m1 on the receiver's half.
     The four outcomes are first checked to be equally likely on the
     dense state, so the outcome is two uniform bits.
-    Returns (m0, m1), the receiver's amplitudes, transcript and ledger."""
-    pair, transcript, ledger = ae_establish(n, sender, receiver, rng)
+    Returns (m0, m1), the receiver's amplitudes, the broadcast rounds and
+    each player's draws."""
+    pair = ae_establish(n, sender, receiver, rng)
+    rounds, ledger = list(pair.rounds), {p: list(draws) for p, draws in pair.ledger.items()}
     # qubit 0: input, qubit 1: sender's half, qubit 2: receiver's half
-    basis = bell_basis(tensor(DenseState(1, qubit), to_dense(pair)), 0, 1)
+    basis = bell_basis(tensor(DenseState(1, qubit), to_dense(pair.output)), 0, 1)
     # P(m0, m1) at index 2*m0 + m1
     assert np.abs(outcome_probabilities(basis, (0, 1)) - 0.25).max() <= 1e-12
     m0, m1 = rng.bits(2)
     post = dense_collapse(basis, (0, 1), (m0, m1))
     for bit in (m0, m1):
-        _, t, l = anon_send(n, sender, bit, rng)
-        transcript.extend(t)
-        ledger.extend(l)
-    if transcript.round_parity(1):
+        announce = anon_send(n, sender, bit, rng)
+        rounds += announce.rounds
+        for p, draws in announce.ledger.items():
+            ledger[p] += draws
+    if _parity(rounds[1]):
         post = dense_apply_gate(post, PAULI_Z, (2,))
-    if transcript.round_parity(2):
+    if _parity(rounds[2]):
         post = dense_apply_gate(post, PAULI_X, (2,))
     base = m0 | (m1 << 1)
-    return (m0, m1), post.amplitudes[[base, base | 4]], transcript, ledger
+    return (m0, m1), post.amplitudes[[base, base | 4]], rounds, ledger
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -358,16 +376,15 @@ def test_anonq_matches_dense_teleport_oracle(n):
             raw = gen.normal(size=2) + 1j * gen.normal(size=2)
             qubit = tuple(raw / np.linalg.norm(raw))
         sender, receiver = (int(p) for p in gen.choice(n, 2, replace=False))
-        received, transcript, ledger = anonq_send(
-            n, sender, receiver, qubit, RngStream(seed, n)
-        )
-        bell, expected, oracle_transcript, oracle_ledger = _dense_anonq_send(
+        run = anonq_send(n, sender, receiver, qubit, RngStream(seed, n))
+        bell, expected, oracle_rounds, oracle_ledger = _dense_anonq_send(
             n, sender, receiver, qubit, RngStream(seed, n)
         )
         outcomes.add(bell)
-        assert transcript.to_json() == oracle_transcript.to_json()
-        assert ledger.to_json() == oracle_ledger.to_json()
-        assert abs(np.vdot(expected, received)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert run.rounds == oracle_rounds
+        assert run.ledger == oracle_ledger
+        assert not run.aborted
+        assert abs(np.vdot(expected, run.output)) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert outcomes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -440,16 +457,14 @@ def test_collision_run_records_its_rounds():
     rng = RngStream(83)
     for n in range(2, 11):
         for k in range(n + 1):
-            verdict, transcript, ledger = collision_detect(n, range(n - k, n), rng)
-            assert len(transcript.rounds) == verdict.rounds_used
-            assert all(len(rnd) == n for rnd in transcript.rounds)
-            assert not transcript.aborted
-            parities = tuple(transcript.round_parity(i) for i in range(verdict.rounds_used))
-            assert parities == verdict.parities
-            assert [ledger.values(p) for p in range(n)] == _columns(transcript, n)
-            assert {name for p in range(n) for name, _ in ledger.entries(p)} == {
-                "measurement"
-            }
+            run = collision_detect(n, range(n - k, n), rng)
+            verdict = run.output
+            assert len(run.rounds) == verdict.rounds_used
+            assert all(len(rnd) == n for rnd in run.rounds)
+            assert not run.aborted
+            assert tuple(map(_parity, run.rounds)) == verdict.parities
+            assert [_values(run, p) for p in range(n)] == _columns(run, n)
+            assert {name for p in range(n) for name in _names(run, p)} == {"measurement"}
 
 
 def test_collision_rejects_bad_arguments():
@@ -466,7 +481,7 @@ def test_collision_rejects_bad_arguments():
 def test_key_exchange_forced_disagreement_keeps_every_bit():
     rng = RngStream(113)
     key_len = 16
-    (key_i, key_j), transcript, _ = anonymous_key_exchange(
+    run = anonymous_key_exchange(
         6,
         1,
         4,
@@ -475,23 +490,23 @@ def test_key_exchange_forced_disagreement_keeps_every_bit():
         bits_i=(0,) * key_len,
         bits_j=(1,) * key_len,
     )
+    key_i, key_j = run.output
     assert key_i == key_j == [0] * key_len
-    assert len(transcript.rounds) == 2 * key_len
+    assert len(run.rounds) == 2 * key_len
 
 
 def test_key_exchange_forced_agreement_yields_nothing():
     rng = RngStream(127)
-    (key_i, key_j), transcript, _ = anonymous_key_exchange(
-        5, 0, 2, 4, rng, bits_i=(1,) * 4, bits_j=(1,) * 4
-    )
+    run = anonymous_key_exchange(5, 0, 2, 4, rng, bits_i=(1,) * 4, bits_j=(1,) * 4)
+    key_i, key_j = run.output
     assert key_i == []
     assert key_j == []
-    assert len(transcript.rounds) == 8
+    assert len(run.rounds) == 8
 
 
-def _slot_parities(transcript, key_len):
+def _slot_parities(run, key_len):
     return [
-        (transcript.round_parity(2 * k), transcript.round_parity(2 * k + 1))
+        (_parity(run.rounds[2 * k]), _parity(run.rounds[2 * k + 1]))
         for k in range(key_len)
     ]
 
@@ -499,20 +514,22 @@ def _slot_parities(transcript, key_len):
 def test_key_exchange_random_bits_agree():
     rng = RngStream(131)
     for _ in range(10):
-        (key_i, key_j), transcript, _ = anonymous_key_exchange(4, 0, 3, 12, rng)
+        run = anonymous_key_exchange(4, 0, 3, 12, rng)
+        key_i, key_j = run.output
         assert key_i == key_j
         # every kept index shows (1, 1) and every discarded one (0, 0), so
-        # the transcript tells which indices were kept and nothing more
-        parities = _slot_parities(transcript, 12)
+        # the broadcasts tell which indices were kept and nothing more
+        parities = _slot_parities(run, 12)
         assert set(parities) <= {(1, 1), (0, 0)}
         assert len(key_i) == parities.count((1, 1))
 
 
 def test_key_exchange_transcript_hides_the_key():
-    (key_i, key_j), transcript, _ = anonymous_key_exchange(6, 1, 4, 64, RngStream(3))
+    run = anonymous_key_exchange(6, 1, 4, 64, RngStream(3))
+    key_i, key_j = run.output
     assert key_i == key_j
     assert 0 < sum(key_i) < len(key_i)
-    kept = [p for p in _slot_parities(transcript, 64) if p != (0, 0)]
+    kept = [p for p in _slot_parities(run, 64) if p != (0, 0)]
     assert kept == [(1, 1)] * len(key_i)
 
 
@@ -520,10 +537,10 @@ def test_key_exchange_ledger_is_its_broadcasts():
     # every slot's measured bits are kept; the slot choices, which are the
     # key, are not
     for n, key_len in ((3, 5), (6, 9)):
-        _, transcript, ledger = anonymous_key_exchange(n, 0, n - 1, key_len, RngStream(n))
-        assert len(transcript.rounds) == 2 * key_len
-        assert [ledger.values(p) for p in range(n)] == _columns(transcript, n)
-        assert all(len(ledger.values(p)) == 2 * key_len for p in range(n))
+        run = anonymous_key_exchange(n, 0, n - 1, key_len, RngStream(n))
+        assert len(run.rounds) == 2 * key_len
+        assert [_values(run, p) for p in range(n)] == _columns(run, n)
+        assert all(len(_values(run, p)) == 2 * key_len for p in range(n))
 
 
 def test_key_exchange_rejects_bad_arguments():
