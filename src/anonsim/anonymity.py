@@ -17,9 +17,10 @@ protocols do not have that failure mode: their transcript distributions
 are identical for every candidate.
 
 Every protocol the verdicts judge is registered in PROTOCOLS with its
-run function, its exact posterior and its input check, and in
-`sampling.SAMPLERS` with its batched sampler.  Exact mode is rational
-arithmetic and never loads numpy.  Each GHZ protocol lists its rounds
+exact posterior and its input check, and in `sampling.SAMPLERS` with
+its batched sampler.  No verdict runs a protocol, so this module does
+not import `protocols`.  Exact mode is rational arithmetic and never
+loads numpy.  Each GHZ protocol lists its rounds
 there, one run's independent broadcast rounds, each as the probability
 that its outcome parity is odd: the outcome strings are uniform within
 each parity class, and only the parity can carry the secret.  In these
@@ -27,7 +28,8 @@ protocols a player's recorded draw in a round is the bit they
 broadcast, so a GHZ view is the broadcast bits alone, whoever is
 watched.  Exact mode expands each round into its map from per-player
 bits to a probability (`_parity_round`) and enumerates the rounds'
-joint outcomes into each candidate's distribution of views.
+joint outcomes into a distribution of views, built once for each
+distinct round list and shared by every candidate with that list.
 For the XOR network it is the closed form of Chaum's argument: with d = 1
 the adversary learns which block of players it cannot split holds the
 sender, and nothing more; the tests check it against enumerating every
@@ -53,17 +55,7 @@ from typing import (
     TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence,
 )
 
-from .protocols import (
-    Run,
-    _validate_bit,
-    _validate_group,
-    _validate_players,
-    ae_establish,
-    anon_send,
-    anonq_send,
-    dcnet_send,
-)
-from .qsim import apply_rz, make_ghz
+from .qsim import _validate_bit, _validate_group, _validate_players, apply_rz, make_ghz
 from .rng import RngStream
 
 if TYPE_CHECKING:
@@ -156,14 +148,13 @@ def _dcnet_exact(cast: Mapping[int, Roles], watchers: Sequence[int]) -> Fraction
 
 
 class ProtocolSpec(NamedTuple):
-    """How the verdicts run and judge one protocol.
+    """How the verdicts judge one protocol, without running it.
 
-    `run(roles, rng)` returns a Run.  `exact(cast, watchers)` is the
-    Bayes-optimal posterior maximum when each candidate of `cast` takes
-    the target role and the adversary sees every broadcast and the
-    draws of the watched players.  `check(n, target, graph)` raises
-    ValueError on inputs the protocol cannot judge, before either mode
-    runs.  A GHZ protocol's `exact` is `_enumerated` over its round
+    `exact(cast, watchers)` is the Bayes-optimal posterior maximum when
+    each candidate of `cast` takes the target role and the adversary
+    sees every broadcast and the draws of the watched players.
+    `check(n, target, graph)` raises ValueError on inputs the protocol
+    cannot judge, before either mode runs.  A GHZ protocol's `exact` is `_enumerated` over its round
     list, one odd-parity probability per round: anon's is 0 or 1, from
     the sender's flip of a fresh GHZ state; every round of ae and anonq
     is uniform bits, 1/2.  Each draw a GHZ run records is a bit it
@@ -174,7 +165,6 @@ class ProtocolSpec(NamedTuple):
     sampler is `sampling.SAMPLERS[name]`.
     """
 
-    run: Callable[[Roles, RngStream], Run]
     exact: Callable[[Mapping[int, Roles], Sequence[int]], Fraction]
     check: Callable[[int, str, Optional[KeySharingGraph]], None]
     view_bits: Callable[[int, Optional[KeySharingGraph]], int]
@@ -188,21 +178,26 @@ def _enumerated(
 ) -> Fraction:
     """`exact` of a GHZ protocol from its model: `odds(roles)` lists one
     run's independent broadcast rounds, each as the probability that its
-    outcome parity is odd.  A view is one run's round bit strings."""
+    outcome parity is odd.  A view is one run's round bit strings.
+
+    The joint distribution of views is built once for each distinct
+    round list and shared by every candidate with that list.
+    """
     n = next(iter(cast.values())).n
     # `watchers` adds nothing: every recorded draw is a broadcast bit
+    tables: dict[tuple, dict] = {}
     dists = {}
     for cand, roles in cast.items():
-        rounds = [_parity_round(n, odd).items() for odd in odds(roles)]
-        dists[cand] = {
-            bits: reduce(mul, probs)
-            for bits, probs in (zip(*combo) for combo in product(*rounds))
-        }
+        key = tuple(odds(roles))
+        if key not in tables:
+            rounds = [_parity_round(n, odd).items() for odd in key]
+            tables[key] = {
+                bits: reduce(mul, probs)
+                for bits, probs in (zip(*combo) for combo in product(*rounds))
+            }
+        dists[cand] = tables[key]
     return _bayes_posterior_max(dists)
 
-
-# the view of a qubit transfer does not depend on the qubit sent
-_ANONQ_QUBIT = (0.6, 0.8)
 
 # a round of uniform bits: the entanglement round's measurements, coin
 # and decoy, and each anonymous announcement of a uniform Bell outcome
@@ -210,7 +205,6 @@ _HALF = Fraction(1, 2)
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "anon": ProtocolSpec(
-        lambda r, rng: anon_send(r.n, r.sender, r.d, rng),
         partial(
             _enumerated,
             # the sender's flip, a Z rotation by d * pi, of a fresh GHZ state
@@ -221,21 +215,18 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         exact_limit=12,
     ),
     "ae": ProtocolSpec(
-        lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
         partial(_enumerated, lambda r: [_HALF]),
         _ghz_check,
         lambda n, graph: n,
         exact_limit=12,
     ),
     "anonq": ProtocolSpec(
-        lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
         partial(_enumerated, lambda r: [_HALF] * 3),
         _ghz_check,
         lambda n, graph: 3 * n,
         exact_limit=6,
     ),
     "dcnet": ProtocolSpec(
-        lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng),
         _dcnet_exact,
         _dcnet_check,
         # the announcements, then every watcher's keys: each key twice

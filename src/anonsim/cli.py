@@ -4,6 +4,9 @@ One subcommand per protocol plus `verdict` for anonymity measurements
 and `sweep` for parameter grids.  Runs are reproducible: the same
 arguments and seed always produce byte-identical output files.
 
+Each command imports the anonsim modules it runs when it runs, so a
+verdict or a keygraph audit loads no protocol code.
+
 Exit codes: 0 success, 2 configuration error, 3 protocol abort,
 4 failed anonymity verdict.
 """
@@ -18,11 +21,12 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import protocols, qsim, serialize
+from . import serialize
 from .rng import RngStream, check_word, derive_stream_id
 
 if TYPE_CHECKING:
     from .keygraph import KeySharingGraph
+    from .protocols import Run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,12 +39,11 @@ OUTDIR_ENV = "ANONSIM_OUTDIR"
 # load the anonymity module
 VERDICT_PROTOCOLS = ("anon", "ae", "anonq", "dcnet")
 
-# The largest inputs a command builds.  A run's record holds a broadcast
-# and a ledger entry for each of its players, and an XOR-network record
-# two ledger entries for each key, so a larger group or graph is refused
-# before anything that grows with it is allocated.
+# The largest group a command builds.  A run's record holds a broadcast
+# and a ledger entry for each of its players, so a larger group is
+# refused before anything that grows with it is allocated; graphs are
+# held to `keygraph.MAX_KEYS` keys the same way.
 MAX_PLAYERS = 10_000
-MAX_KEYS = 100_000
 
 # the number of keys (edges) of each graph family on n nodes
 GRAPH_FAMILY_KEYS = {
@@ -88,7 +91,8 @@ def _check_players(n: int) -> None:
 
 def _parse_graph(spec: str) -> KeySharingGraph:
     """'complete:5', 'cycle:6', 'star:5', 'path:4', or a file path.  A
-    family's key count is checked before any of its edges is built."""
+    family's key count is checked before any of its edges is built, a
+    file's keys and nodes while it is read."""
     from . import keygraph
 
     if ":" in spec:
@@ -97,9 +101,9 @@ def _parse_graph(spec: str) -> KeySharingGraph:
             raise ValueError(f"unknown graph family {kind!r}")
         nodes = int(size)
         keys = GRAPH_FAMILY_KEYS[kind](nodes)
-        if keys > MAX_KEYS:
+        if keys > keygraph.MAX_KEYS:
             raise ValueError(
-                f"--graph {spec} has {keys} keys; at most {MAX_KEYS} are supported"
+                f"--graph {spec} has {keys} keys; at most {keygraph.MAX_KEYS} are supported"
             )
         return getattr(keygraph.KeySharingGraph, kind)(nodes)
     if not os.path.exists(spec):
@@ -122,7 +126,7 @@ def _record_run(
     args,
     protocol: str,
     n: int,
-    run: protocols.Run,
+    run: Run,
     verdicts: dict,
     config: dict,
     summary: list[tuple[str, object]],
@@ -139,6 +143,8 @@ def _record_run(
 
 
 def cmd_anon(args) -> int:
+    from . import protocols
+
     _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     if args.flippers is not None:
@@ -167,6 +173,8 @@ def cmd_anon(args) -> int:
 
 
 def cmd_ae(args) -> int:
+    from . import protocols, qsim
+
     _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     run = protocols.ae_establish(
@@ -220,6 +228,8 @@ def _parse_qubit(alpha_text: str, beta_text: str) -> tuple[complex, complex]:
 
 
 def cmd_anonq(args) -> int:
+    from . import protocols
+
     _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     qubit = _parse_qubit(args.alpha, args.beta)
@@ -236,6 +246,8 @@ def cmd_anonq(args) -> int:
 
 
 def cmd_collision(args) -> int:
+    from . import protocols
+
     _check_players(args.n)
     rng = RngStream(args.seed, args.stream_id)
     wishers = _parse_ids(args.wishers)
@@ -250,6 +262,8 @@ def cmd_collision(args) -> int:
 
 
 def cmd_dcnet(args) -> int:
+    from . import protocols
+
     rng = RngStream(args.seed, args.stream_id)
     graph = _parse_graph(args.graph)
     run = protocols.dcnet_send(graph, args.sender, args.d, rng)
@@ -337,6 +351,8 @@ def cmd_verdict(args) -> int:
 
 
 def _sweep_collision(args) -> tuple[list[str], list[list]]:
+    from . import protocols
+
     lo, hi = _parse_span(args.n, 2)
     header = [
         "n", "k", "verdict", "first_odd_round", "predicted_first_odd",
@@ -374,6 +390,8 @@ def _sweep_collision(args) -> tuple[list[str], list[list]]:
 
 
 def _sweep_anon(args) -> tuple[list[str], list[list]]:
+    from . import protocols
+
     lo, hi = _parse_span(args.n, 3)
     d_values = _parse_ids(args.d) or [0, 1]
     if not set(d_values) <= {0, 1}:

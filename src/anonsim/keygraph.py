@@ -18,6 +18,12 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
+# The largest graph read from a file, checked while it is read: the
+# keys (edges) and the nodes of the largest graph family the command
+# line builds.  A run's record holds two ledger entries for each key.
+MAX_KEYS = 100_000
+MAX_NODES = MAX_KEYS + 1
+
 
 class _GraphFields(NamedTuple):
     num_nodes: int
@@ -143,9 +149,20 @@ class MinDegreeReport(NamedTuple):
     meets_requirement: bool
 
 
+def _adjacency(g: KeySharingGraph) -> list[list[int]]:
+    """Each node's neighbors, sorted, from one pass over the edges."""
+    adjacency: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for i, j in g.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    for neighbors in adjacency:
+        neighbors.sort()
+    return adjacency
+
+
 def min_degree(g: KeySharingGraph) -> MinDegreeReport:
     """Smallest node degree; a node of degree < 2 leaks to its neighbor."""
-    smallest = min(g.degree(v) for v in range(g.num_nodes))
+    smallest = min(map(len, _adjacency(g)))
     return MinDegreeReport(smallest, smallest >= 2)
 
 
@@ -246,7 +263,7 @@ def to_adjacency_json(g: KeySharingGraph) -> dict:
     return {
         "num_nodes": g.num_nodes,
         "adjacency": {
-            str(v): sorted(g.neighbors(v)) for v in range(g.num_nodes)
+            str(v): neighbors for v, neighbors in enumerate(_adjacency(g))
         },
     }
 
@@ -262,11 +279,14 @@ def from_adjacency_json(obj: dict) -> KeySharingGraph:
 
     Any other shape raises ValueError: a missing key, an adjacency that
     is not an object, a neighbor list that is not a list, or a node count
-    or neighbor that is not an integer.
+    or neighbor that is not an integer.  So does a graph of more than
+    MAX_NODES nodes or MAX_KEYS keys, before its edges are all read.
     """
     if not isinstance(obj, dict) or not {"num_nodes", "adjacency"} <= obj.keys():
         raise ValueError("adjacency JSON needs 'num_nodes' and 'adjacency'")
     n = _json_int(obj["num_nodes"], "num_nodes")
+    if n > MAX_NODES:
+        raise ValueError(f"num_nodes {n}: at most {MAX_NODES} nodes are supported")
     adjacency = obj["adjacency"]
     if not isinstance(adjacency, dict):
         raise ValueError(f"'adjacency' must be an object, got {adjacency!r}")
@@ -278,10 +298,19 @@ def from_adjacency_json(obj: dict) -> KeySharingGraph:
         for w in neighbors:
             w = _json_int(w, f"neighbor of node {v_str}")
             edges.add((min(v, w), max(v, w)))
+            if len(edges) > MAX_KEYS:
+                raise ValueError(
+                    f"node {v_str}: over {MAX_KEYS} keys; at most {MAX_KEYS} are supported"
+                )
     return KeySharingGraph.from_edges(n, edges)
 
 
 def from_edge_list_text(text: str) -> KeySharingGraph:
+    """Graph from lines 'i j', one edge each; '#' starts a comment line.
+
+    The nodes are 0 to the highest one named.  A node past MAX_NODES - 1
+    or a key past MAX_KEYS raises ValueError at the line that names it.
+    """
     edges = set()
     highest = -1
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -292,8 +321,16 @@ def from_edge_list_text(text: str) -> KeySharingGraph:
         if len(parts) != 2:
             raise ValueError(f"line {line_no}: expected 'i j', got {raw!r}")
         i, j = int(parts[0]), int(parts[1])
-        edges.add((min(i, j), max(i, j)))
         highest = max(highest, i, j)
+        if highest >= MAX_NODES:
+            raise ValueError(
+                f"line {line_no}: node {highest}; at most {MAX_NODES} nodes are supported"
+            )
+        edges.add((min(i, j), max(i, j)))
+        if len(edges) > MAX_KEYS:
+            raise ValueError(
+                f"line {line_no}: over {MAX_KEYS} keys; at most {MAX_KEYS} are supported"
+            )
     return KeySharingGraph.from_edges(highest + 1, edges)
 
 

@@ -27,6 +27,9 @@ from typing import TYPE_CHECKING, Any, Collection, Iterable, NamedTuple, Optiona
 
 from .qsim import (
     GhzPhaseState,
+    _validate_bit,
+    _validate_group,
+    _validate_players,
     apply_phase_flip,
     apply_rz,
     hadamard_measure_all,
@@ -55,26 +58,6 @@ class Run(NamedTuple):
     rounds: list[list[tuple[int, int]]]
     ledger: dict[int, list[tuple[str, int]]]
     aborted: bool
-
-
-def _validate_group(n: int, minimum: int = 3) -> None:
-    if n < minimum:
-        raise ValueError(f"need at least {minimum} players, got {n}")
-
-
-def _validate_bit(d: int) -> int:
-    if d not in (0, 1):
-        raise ValueError(f"data bit must be 0 or 1, got {d!r}")
-    return d
-
-
-def _validate_players(n: int, label: str, players: Iterable[int]) -> set[int]:
-    """The players as a set, each checked to be in range(n)."""
-    found = set(players)
-    for p in found:
-        if not 0 <= p < n:
-            raise ValueError(f"{label} {p} out of range for n={n}")
-    return found
 
 
 def _broadcast_draws(

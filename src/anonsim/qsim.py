@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .rng import RngStream
 
@@ -85,6 +85,29 @@ class GhzPhaseState(_GhzPhaseFields):
 def make_ghz(num_qubits: int) -> GhzPhaseState:
     """Fresh shared GHZ state with phase 0."""
     return GhzPhaseState(num_qubits, 0, 0)
+
+
+# Input checks of the protocols and of the verdicts that judge them.
+
+
+def _validate_group(n: int, minimum: int = 3) -> None:
+    if n < minimum:
+        raise ValueError(f"need at least {minimum} players, got {n}")
+
+
+def _validate_bit(d: int) -> int:
+    if d not in (0, 1):
+        raise ValueError(f"data bit must be 0 or 1, got {d!r}")
+    return d
+
+
+def _validate_players(n: int, label: str, players: Iterable[int]) -> set[int]:
+    """The players as a set, each checked to be in range(n)."""
+    found = set(players)
+    for p in found:
+        if not 0 <= p < n:
+            raise ValueError(f"{label} {p} out of range for n={n}")
+    return found
 
 
 def _check_player(state: GhzPhaseState, player: int) -> None:

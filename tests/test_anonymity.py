@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import pytest
 
+from anonsim import anonymity
 from anonsim.anonymity import (
     DEFAULT_SAMPLED_TRIALS,
     PROTOCOLS,
@@ -25,12 +26,26 @@ from anonsim.anonymity import (
     traceless_verdict,
 )
 from anonsim.keygraph import KeySharingGraph, is_connected, tolerance
-from anonsim.protocols import anon_send, dcnet_send, trace_attack, xor_pass
+from anonsim.protocols import (
+    ae_establish, anon_send, anonq_send, dcnet_send, trace_attack, xor_pass,
+)
 from anonsim.qsim import GhzPhaseState
 from anonsim.rng import BLOCK_TRIALS, RngStream
 from anonsim.sampling import SAMPLERS, _row_codes, view_counts
 
 from dense_oracle import apply_hadamard_all, to_dense
+
+
+# the view of a qubit transfer does not depend on the qubit sent
+_ANONQ_QUBIT = (0.6, 0.8)
+
+# protocol name -> run(roles, rng), the run whose views each verdict judges
+RUNS = {
+    "anon": lambda r, rng: anon_send(r.n, r.sender, r.d, rng),
+    "ae": lambda r, rng: ae_establish(r.n, r.sender, r.receiver, rng),
+    "anonq": lambda r, rng: anonq_send(r.n, r.sender, r.receiver, _ANONQ_QUBIT, rng),
+    "dcnet": lambda r, rng: dcnet_send(r.graph, r.sender, r.d, rng),
+}
 
 
 def tv_distance(p, q):
@@ -403,7 +418,7 @@ def test_adversary_view_redacts_names_and_roles():
         ("dcnet", KeySharingGraph.complete(5)),
     ):
         roles = Roles(5, 2, 3, 1, graph)
-        run = PROTOCOLS[protocol].run(roles, RngStream(19))
+        run = RUNS[protocol](roles, RngStream(19))
         view = _redact(run.rounds, _drawn_bits(run), (0, 4))
         text = json.dumps(view)
         for word in ("role", "coin", "decoy", "measurement", "key", "data", "sender"):
@@ -428,11 +443,11 @@ def test_adversary_view_hijack_watches_everyone():
 def test_ghz_draws_are_the_broadcast_bits(protocol):
     # both verdict engines read a GHZ view off the broadcasts alone, so
     # a GHZ protocol that records a draw it does not broadcast fails here
-    spec = PROTOCOLS[protocol]
+    run_protocol = RUNS[protocol]
     for n, seed in itertools.product((3, 4, 6), range(3)):
         for sender, receiver in itertools.permutations(range(n), 2):
             roles = Roles(n, sender, receiver, seed % 2, None)
-            run = spec.run(roles, RngStream(seed))
+            run = run_protocol(roles, RngStream(seed))
             assert set(run.ledger) <= set(range(n))
             draws = _drawn_bits(run)
             for p in range(n):
@@ -453,10 +468,9 @@ def _ghz_enumeration_cases():
     yield "anonq", 4, "receiver", 1
 
 
-def test_ghz_exact_matches_the_redacted_enumeration():
-    # the oracle keys each view on the broadcasts and the watchers' draws
-    # as `_redact` builds them; the engine keys it on the broadcasts alone
-    checked = 0
+def _ghz_verdict_cases():
+    """(protocol, n, target, d, colluders, cast, watchers) of each
+    enumeration case, every t, two colluder sets and both adversaries."""
     for protocol, n, target, d in _ghz_enumeration_cases():
         for t in range(n - 1):
             # the default colluders, the t highest, and the t lowest, who
@@ -465,13 +479,65 @@ def test_ghz_exact_matches_the_redacted_enumeration():
                 candidates = [p for p in range(n) if p not in colluders]
                 cast = _cast(n, candidates, target, d, None)
                 for watchers in (colluders, tuple(range(n))):
-                    oracle = _bayes_posterior_max(
-                        _exact_view_dists(OUTCOMES[protocol], cast, watchers)
-                    )
-                    exact = PROTOCOLS[protocol].exact(cast, watchers)
-                    assert exact == oracle, (protocol, n, target, d, colluders, watchers)
-                    checked += 1
+                    yield protocol, n, target, d, colluders, cast, watchers
+
+
+def test_ghz_exact_matches_the_redacted_enumeration():
+    # the oracle keys each view on the broadcasts and the watchers' draws
+    # as `_redact` builds them; the engine keys it on the broadcasts alone
+    checked = 0
+    for protocol, n, target, d, colluders, cast, watchers in _ghz_verdict_cases():
+        oracle = _bayes_posterior_max(
+            _exact_view_dists(OUTCOMES[protocol], cast, watchers)
+        )
+        exact = PROTOCOLS[protocol].exact(cast, watchers)
+        assert exact == oracle, (protocol, n, target, d, colluders, watchers)
+        checked += 1
     assert checked == 214
+
+
+def _per_candidate_enumerated(odds, cast, watchers) -> Fraction:
+    """Oracle: the exact GHZ engine with one joint table per candidate,
+    each the product of that candidate's `_parity_round` maps."""
+    n = next(iter(cast.values())).n
+    dists = {}
+    for cand, roles in cast.items():
+        rounds = [_parity_round(n, odd).items() for odd in odds(roles)]
+        dists[cand] = {
+            bits: reduce(mul, probs)
+            for bits, probs in (zip(*combo) for combo in itertools.product(*rounds))
+        }
+    return _bayes_posterior_max(dists)
+
+
+def test_shared_tables_give_the_per_candidate_posterior():
+    checked = 0
+    for protocol, n, target, d, colluders, cast, watchers in _ghz_verdict_cases():
+        oracle = _per_candidate_enumerated(_round_list(protocol), cast, watchers)
+        exact = PROTOCOLS[protocol].exact(cast, watchers)
+        assert type(exact) is Fraction
+        assert exact == oracle, (protocol, n, target, d, colluders, watchers)
+        checked += 1
+    assert checked == 214
+
+
+@pytest.mark.parametrize("protocol, n", [("ae", 8), ("anon", 8), ("anonq", 4)])
+def test_a_verdict_builds_one_joint_table(monkeypatch, protocol, n):
+    # every candidate's round list is the same, so all n candidates share
+    # one table of views where each once had its own
+    seen = []
+    judge = anonymity._bayes_posterior_max
+    monkeypatch.setattr(
+        anonymity, "_bayes_posterior_max", lambda dists: seen.append(dists) or judge(dists)
+    )
+    assert traceless_verdict(protocol, n).verdict
+    (dists,) = seen
+    assert len(dists) == n
+    assert len({id(table) for table in dists.values()}) == 1
+
+
+def test_every_verdict_protocol_has_a_run():
+    assert RUNS.keys() == PROTOCOLS.keys()
 
 
 # ----------------------------------------------------------------- verdicts
@@ -670,7 +736,7 @@ def _flat(protocol: str, view: tuple) -> tuple[int, ...]:
 )
 def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     # exact outcomes, real runs and sampler rows all come from one layout
-    spec = PROTOCOLS[protocol]
+    run_protocol = RUNS[protocol]
     roles = Roles(n, 1, 2, 1, graph)
     everyone = tuple(range(n))
     exact = {
@@ -680,7 +746,7 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     assert sum(exact.values()) == 1
     rng = RngStream(5)
     for _ in range(40):
-        run = spec.run(roles, rng)
+        run = run_protocol(roles, rng)
         assert _redact(run.rounds, _drawn_bits(run), everyone) in exact
     exact_rows = {_flat(protocol, view) for view in exact}
     rows = SAMPLERS[protocol](roles, everyone, 200, rng)
@@ -689,14 +755,14 @@ def test_sampled_views_lie_in_the_exact_support(protocol, n, graph):
     assert {tuple(row) for row in rows.tolist()} <= exact_rows
 
 
-def _per_trial_views(spec, cast, watchers, trials, rng) -> dict[int, list]:
+def _per_trial_views(run_protocol, cast, watchers, trials, rng) -> dict[int, list]:
     """The reference for batched sampling: run and redact one trial at a
     time, each candidate's trials in turn on one stream."""
     views = {}
     for cand, roles in cast.items():
         views[cand] = []
         for _ in range(trials):
-            run = spec.run(roles, rng)
+            run = run_protocol(roles, rng)
             views[cand].append(_redact(run.rounds, _drawn_bits(run), watchers))
     return views
 
@@ -738,13 +804,12 @@ def test_count_matrix_matches_per_trial_runs_across_a_block_boundary():
 def _assert_count_matrix_matches_per_trial_runs(
     protocol, n, target, graph, hijack, seed, trials
 ):
-    spec = PROTOCOLS[protocol]
     colluders = () if hijack else (seed % n,)
     candidates = [p for p in range(n) if p not in colluders]
     watchers = tuple(range(n)) if hijack else colluders
     cast = _cast(n, candidates, target, seed % 2, graph)
 
-    views = _per_trial_views(spec, cast, watchers, trials, RngStream(seed, 77))
+    views = _per_trial_views(RUNS[protocol], cast, watchers, trials, RngStream(seed, 77))
     rng = RngStream(seed, 77)
     for cand, roles in cast.items():
         rows = SAMPLERS[protocol](roles, watchers, trials, rng)

@@ -14,13 +14,13 @@ import pytest
 
 import anonsim
 from anonsim import keygraph, protocols, serialize
+from anonsim.keygraph import MAX_KEYS
 from anonsim.anonymity import MAX_SAMPLED_BYTES, PROTOCOLS
 from anonsim.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERDICT,
-    MAX_KEYS,
     MAX_PLAYERS,
     VERDICT_PROTOCOLS,
     main,
@@ -549,6 +549,40 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, argv):
     assert run.returncode == EXIT_CONFIG, run.stderr
     assert run.stdout == ""
     assert run.stderr == _OVERSIZED[argv]
+    assert not out.exists()
+
+
+# graph file name, contents -> the one line on stderr
+_OVERSIZED_FILES = {
+    "far.txt": ("0 1\n1 99999999\n",
+                f"error: line 2: node 99999999; at most {MAX_KEYS + 1} nodes are supported\n"),
+    "wide.json": ('{"num_nodes": 100000000, "adjacency": {}}',
+                  f"error: num_nodes 100000000: at most {MAX_KEYS + 1} nodes are supported\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED_FILES))
+@pytest.mark.parametrize("command", [
+    "keygraph --graph {}",
+    "dcnet --graph {} --sender 0 --d 1 --seed 1",
+    "verdict --protocol dcnet --n 100000000 --graph {}",
+])
+def test_oversized_graph_file_is_refused_while_it_is_read(tmp_path, name, command):
+    # in a child whose address space is capped at 1 GiB: each of these
+    # ended in a MemoryError there while the graph file went unchecked
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anonsim.__file__)))
+    text, error = _OVERSIZED_FILES[name]
+    graph = tmp_path / name
+    graph.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _ADDRESS_SPACE_CHILD, *command.format(graph).split(),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+    )
+    assert run.returncode == EXIT_CONFIG, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == error
     assert not out.exists()
 
 

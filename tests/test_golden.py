@@ -120,6 +120,14 @@ DATACLASS_CASES = {name for name in CASES if name.startswith(("exact_", "sampled
 GRAPH_CASES = {name for name in CASES if "--graph" in CASES[name] or name == "sweep_graphs"}
 CSV_CASES = {name for name in CASES if name.startswith("sweep_")}
 
+# The cases that run a protocol, the only ones that load
+# `anonsim.protocols`: no verdict runs one (a sampled verdict's
+# `sampling` would load it, but stops at numpy first here).  They and
+# the verdicts, whose anon model is a fresh GHZ state, load
+# `anonsim.qsim`; the keygraph audit and `sweep graphs` load neither.
+PROTOCOL_CASES = CASES.keys() - DATACLASS_CASES - {"keygraph", "sweep_graphs"}
+QSIM_CASES = PROTOCOL_CASES | DATACLASS_CASES
+
 
 def _loads(name: str) -> tuple[str, ...]:
     """The watched modules that case `name` loads."""
@@ -130,6 +138,10 @@ def _loads(name: str) -> tuple[str, ...]:
         loads.add("anonsim.keygraph")
     if name in CSV_CASES:
         loads.add("csv")
+    if name in PROTOCOL_CASES:
+        loads.add("anonsim.protocols")
+    if name in QSIM_CASES:
+        loads.add("anonsim.qsim")
     return tuple(sorted(loads))
 
 
@@ -140,7 +152,9 @@ _BLOCKED_CHILD = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 from anonsim.cli import main
-watched = {"anonsim.keygraph", "csv", "dataclasses", "inspect"}
+watched = {
+    "anonsim.keygraph", "anonsim.protocols", "anonsim.qsim", "csv", "dataclasses", "inspect",
+}
 results = {}
 for name, argv in json.loads(sys.argv[1]).items():
     stdout = io.StringIO()

@@ -8,10 +8,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from anonsim.keygraph import (
+    MAX_KEYS,
     KeySharingGraph,
     components,
     from_adjacency_json,
@@ -156,6 +158,34 @@ def test_min_degree_report():
     assert min_degree(KeySharingGraph.complete(6)) == (5, True)
 
 
+def test_degrees_and_adjacency_match_the_per_node_scan():
+    # `neighbors` scans every edge for one node; the audits build every
+    # node's neighbors in one pass, and must report the same
+    rnd = random.Random(24)
+    for _ in range(40):
+        n = rnd.randint(2, 30)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = KeySharingGraph.from_edges(n, rnd.sample(pairs, rnd.randint(0, len(pairs))))
+        smallest = min(g.degree(v) for v in range(n))
+        assert min_degree(g) == (smallest, smallest >= 2)
+        assert to_adjacency_json(g) == {
+            "num_nodes": n,
+            "adjacency": {str(v): sorted(g.neighbors(v)) for v in range(n)},
+        }
+
+
+def test_degree_and_adjacency_of_the_largest_complete_graph_are_quick():
+    # complete:447 is the largest complete graph under the key cap; one
+    # `neighbors` scan per node took about 7 s here
+    g = KeySharingGraph.complete(447)
+    assert len(g.edges) <= MAX_KEYS < len(KeySharingGraph.complete(448).edges)
+    start = time.perf_counter()
+    assert min_degree(g) == (446, True)
+    adjacency = to_adjacency_json(g)["adjacency"]
+    assert time.perf_counter() - start < 2.0
+    assert adjacency["0"] == list(range(1, 447))
+
+
 def test_vertex_connectivity_known_values():
     assert vertex_connectivity(KeySharingGraph.complete(5)) == 4
     assert vertex_connectivity(KeySharingGraph.cycle(6)) == 2
@@ -283,6 +313,24 @@ def test_edge_list_comments_and_errors():
     assert parsed.edges == frozenset({(0, 1), (1, 2)})
     with pytest.raises(ValueError):
         from_edge_list_text("0 1 2\n")
+
+
+def test_graph_files_are_held_to_the_key_and_node_caps():
+    # the largest family under the key cap, path:100001, has MAX_KEYS keys
+    # and MAX_KEYS + 1 nodes; a file may have as many and no more
+    last = MAX_KEYS
+    path_text = "".join(f"{v} {v + 1}\n" for v in range(last))
+    assert len(from_edge_list_text(path_text).edges) == MAX_KEYS
+    with pytest.raises(ValueError, match=f"line 1: node {last + 1}; at most {last + 1} nodes"):
+        from_edge_list_text(f"0 {last + 1}\n")
+    with pytest.raises(ValueError, match=f"line {last + 1}: over {MAX_KEYS} keys; at most"):
+        from_edge_list_text(path_text + f"0 {last}\n")
+    assert from_adjacency_json({"num_nodes": last + 1, "adjacency": {}}).num_nodes == last + 1
+    with pytest.raises(ValueError, match=f"num_nodes {last + 2}: at most {last + 1} nodes"):
+        from_adjacency_json({"num_nodes": last + 2, "adjacency": {}})
+    star = {"0": list(range(1, last + 1)), "1": [2]}
+    with pytest.raises(ValueError, match=f"node 1: over {MAX_KEYS} keys; at most {MAX_KEYS} are"):
+        from_adjacency_json({"num_nodes": last + 1, "adjacency": star})
 
 
 def test_load_graph_dispatches_on_extension(tmp_path):
