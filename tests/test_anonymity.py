@@ -468,34 +468,6 @@ def _ghz_enumeration_cases():
     yield "anonq", 4, "receiver", 1
 
 
-def _ghz_verdict_cases():
-    """(protocol, n, target, d, colluders, cast, watchers) of each
-    enumeration case, every t, two colluder sets and both adversaries."""
-    for protocol, n, target, d in _ghz_enumeration_cases():
-        for t in range(n - 1):
-            # the default colluders, the t highest, and the t lowest, who
-            # include every other candidate's partner
-            for colluders in sorted({tuple(range(n - t, n)), tuple(range(t))}):
-                candidates = [p for p in range(n) if p not in colluders]
-                cast = _cast(n, candidates, target, d, None)
-                for watchers in (colluders, tuple(range(n))):
-                    yield protocol, n, target, d, colluders, cast, watchers
-
-
-def test_ghz_exact_matches_the_redacted_enumeration():
-    # the oracle keys each view on the broadcasts and the watchers' draws
-    # as `_redact` builds them; the engine keys it on the broadcasts alone
-    checked = 0
-    for protocol, n, target, d, colluders, cast, watchers in _ghz_verdict_cases():
-        oracle = _bayes_posterior_max(
-            _exact_view_dists(OUTCOMES[protocol], cast, watchers)
-        )
-        exact = PROTOCOLS[protocol].exact(cast, watchers)
-        assert exact == oracle, (protocol, n, target, d, colluders, watchers)
-        checked += 1
-    assert checked == 214
-
-
 def _per_candidate_enumerated(odds, cast, watchers) -> Fraction:
     """Oracle: the exact GHZ engine with one joint table per candidate,
     each the product of that candidate's `_parity_round` maps."""
@@ -510,14 +482,30 @@ def _per_candidate_enumerated(odds, cast, watchers) -> Fraction:
     return _bayes_posterior_max(dists)
 
 
-def test_shared_tables_give_the_per_candidate_posterior():
+def test_ghz_exact_matches_the_redacted_enumeration():
+    # the oracle keys each view on the broadcasts and the watchers' draws
+    # as `_redact` builds them; the engine keys it on the broadcasts alone
     checked = 0
-    for protocol, n, target, d, colluders, cast, watchers in _ghz_verdict_cases():
-        oracle = _per_candidate_enumerated(_round_list(protocol), cast, watchers)
-        exact = PROTOCOLS[protocol].exact(cast, watchers)
-        assert type(exact) is Fraction
-        assert exact == oracle, (protocol, n, target, d, colluders, watchers)
-        checked += 1
+    for protocol, n, target, d in _ghz_enumeration_cases():
+        for t in range(n - 1):
+            # the default colluders, the t highest, and the t lowest, who
+            # include every other candidate's partner
+            for colluders in sorted({tuple(range(n - t, n)), tuple(range(t))}):
+                candidates = [p for p in range(n) if p not in colluders]
+                cast = _cast(n, candidates, target, d, None)
+                for watchers in (colluders, tuple(range(n))):
+                    oracle = _bayes_posterior_max(
+                        _exact_view_dists(OUTCOMES[protocol], cast, watchers)
+                    )
+                    exact = PROTOCOLS[protocol].exact(cast, watchers)
+                    assert exact == oracle, (protocol, n, target, d, colluders, watchers)
+                    # the engine shares one table among the candidates
+                    # with equal round lists; the Fraction is the same
+                    per_candidate = _per_candidate_enumerated(
+                        _round_list(protocol), cast, watchers
+                    )
+                    assert type(exact) is Fraction and exact == per_candidate
+                    checked += 1
     assert checked == 214
 
 
@@ -534,10 +522,6 @@ def test_a_verdict_builds_one_joint_table(monkeypatch, protocol, n):
     (dists,) = seen
     assert len(dists) == n
     assert len({id(table) for table in dists.values()}) == 1
-
-
-def test_every_verdict_protocol_has_a_run():
-    assert RUNS.keys() == PROTOCOLS.keys()
 
 
 # ----------------------------------------------------------------- verdicts

@@ -14,7 +14,6 @@ import pytest
 
 import anonsim
 from anonsim import keygraph, protocols, serialize
-from anonsim.keygraph import MAX_KEYS
 from anonsim.anonymity import MAX_SAMPLED_BYTES, PROTOCOLS
 from anonsim.cli import (
     EXIT_ABORT,
@@ -25,6 +24,7 @@ from anonsim.cli import (
     VERDICT_PROTOCOLS,
     main,
 )
+from anonsim.keygraph import MAX_KEYS
 from anonsim.sampling import SAMPLERS
 
 SCHEMAS = Path(anonsim.__file__).parent / "schemas"
